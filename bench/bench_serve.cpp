@@ -35,7 +35,7 @@
 #include "mbq/graph/generators.h"
 #include "mbq/serve/client.h"
 #include "mbq/serve/daemon.h"
-#include "mbq/shard/worker_pool.h"
+#include "mbq/shard/worker.h"
 
 int main() {
   using namespace mbq;

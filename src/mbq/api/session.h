@@ -6,9 +6,7 @@
 //   * an LRU cache of prepare() artifacts keyed by the exact angle
 //     values, so the variational outer loop (which revisits angles and
 //     moves in small simplexes) never recompiles a pattern it has seen;
-//   * parallel shot batching on common/parallel — shot s always draws
-//     from stream(s) of a per-call base generator, so sample() returns
-//     bit-identical results at any thread count.
+//   * the choice of where each call runs.
 //
 // Construct with a registry name to stay decoupled from concrete
 // adapters:
@@ -16,22 +14,35 @@
 //   auto session = api::Session(api::Workload::maxcut(g), "mbqc");
 //   real e = session.expectation(angles);
 //   auto shots = session.sample(angles, 1024);
-//
-// The variational outer loop evaluates <C> at many nearby angle points
-// (simplex vertices, gradient stencils, grid cells).  The batch/async
-// entry points fan those points out on common/parallel:
-//
 //   std::vector<real> es = session.expectation_batch(points);
 //   auto pending = session.expectation_async(angles);   // overlaps work
 //
-// Determinism contract: the k-th expectation this session evaluates —
-// whether through expectation(), a batch slot, or a future — draws from
-// rng.stream(kExpectationStreamBase + k), and shot s of sample call k
-// draws from rng.stream(k).stream(s).  Both are pure functions of
-// (seed, k, s), so batch results are bit-identical to the serial loop at
-// every thread count — and, because worker processes re-derive the same
-// streams from (seed, index) alone, at every PROCESS count too (see
-// "Process sharding" below).
+// One request path.  sample() is a sample_batch() of one point;
+// sample_batch() and expectation_batch() each build one shard::Request
+// and run it in three steps:
+//   1. check phase: every point is support-checked and prepared through
+//      the Session's cache, in this process, wherever step 3 runs.  This
+//      is the one cache rule: hits, misses and entries come out the same
+//      in every execution mode;
+//   2. the call counter advances by the call's size;
+//   3. an executor evaluates the request.  In-process, the shared eval
+//      loop shard::evaluate fans (point, shot) pairs or points out on
+//      common/parallel; otherwise a serve::DaemonClient runs it on a
+//      worker fleet, where each mbq_worker runs the same loop on its
+//      slice.
+//
+// Determinism contract: shot s of sample call k draws
+// rng.stream(k).stream(s), and the k-th expectation this session
+// evaluates — through expectation(), a batch slot, or a future — draws
+// rng.stream(kExpectationStreamBase + k).  Both are pure functions of
+// (seed, k, s), assigned in shard::evaluate alone, so results are
+// bit-identical at every thread count, process count and transport.
+//
+// Errors are part of the contract: a call raises what the serial loop
+// would — the lowest failing point's check-phase error if any point
+// fails its check, else the lowest-index evaluation error — with the
+// same message in every mode.  A check-phase failure leaves the call
+// counter untouched; an evaluation failure consumes the call's indices.
 //
 // Call-index bookkeeping: expectation_calls_ / sample_calls_ advance on
 // the CALLING thread, synchronously, before any entry point returns —
@@ -44,26 +55,19 @@
 // a Session must be driven from one thread (concurrent pending futures
 // are fine; concurrent calls INTO the session are not).
 //
-// Process sharding: with SessionOptions::num_processes > 1 (or
-// MBQ_NUM_PROCESSES set and num_processes left at 0), sample(),
-// sample_batch() and expectation_batch() fan their work out across a
-// pool of fork/exec'd mbq_worker processes (shard/worker_pool.h), each
-// owning a contiguous slice of the call's stream-index space.  Results
-// are merged in index order and are bit-identical to the in-process
-// path.  Every built-in ansatz — QAOA-diagonal over any-order Ising/PUBO
-// costs, (weighted) constraint-preserving MIS, declarative ParamCircuit
-// ansätze, with or without entangler noise — lowers to a serializable
-// WorkloadSpec and shards.  The Session falls back to in-process
-// execution — silently, the results being identical either way — only
-// when the workload cannot cross a process boundary (the CustomCircuit
-// std::function escape hatch), the backend was not resolved
-// from the registry by name, the worker executable cannot be found
-// (see shard::resolve_worker_path), the pool died earlier, or the call
-// is too small to split.  Cache bookkeeping under sharding: the sample
-// paths still warm the parent's prepare cache exactly like the
-// in-process loop; a sharded expectation_batch leaves the parent cache
-// untouched (each worker prepares its own slice) and reports no
-// hits/misses for the call.
+// Executors.  With a daemon endpoint in effect (options or
+// MBQ_DAEMON_ENDPOINT), every batch call runs on that mbqd and never
+// falls back: an unreachable daemon, or a workload or backend that
+// cannot travel, is an Error.  Otherwise, with num_processes >= 2, the
+// first call of at least two items starts an embedded serve::Daemon
+// with num_processes mbq_worker processes on a private unix socket.  It
+// lives as long as the Session, and a dead or wedged worker is respawned
+// and its slice re-dispatched.  A call runs in-process instead, with
+// identical results, when it has fewer than two items, the workload
+// cannot cross a process boundary (shard::unshardable_reason), the
+// backend is an instance or a runtime-registered name, or no mbq_worker
+// executable is found (shard::resolve_worker_path).  Single-point
+// expectation() and expectation_async() always run in-process.
 
 #include <cstdint>
 #include <future>
@@ -78,11 +82,13 @@
 #include "mbq/opt/optimizer.h"
 
 namespace mbq::shard {
-class WorkerPool;
+enum class TaskKind : std::uint8_t;
 struct Request;
+struct Response;
 }  // namespace mbq::shard
 
 namespace mbq::serve {
+class Daemon;
 class DaemonClient;
 }  // namespace mbq::serve
 
@@ -90,17 +96,18 @@ namespace mbq::api {
 
 struct SessionOptions {
   std::uint64_t seed = 0x51E55ED5EEDULL;
-  /// Batch sample() shots across threads (results are identical either
-  /// way; this is purely a wall-clock knob).
+  /// Fan an in-process batch call's items (sample shots, batch points)
+  /// out across threads (results are identical either way; this is
+  /// purely a wall-clock knob).
   bool parallel_shots = true;
   /// Entries kept in the per-angle prepare() cache before LRU eviction.
   std::size_t cache_capacity = 64;
   /// Worker processes for sample/sample_batch/expectation_batch.  0 (the
   /// default) reads the MBQ_NUM_PROCESSES environment variable, falling
-  /// back to 1; 1 never shards; >= 2 shards across that many mbq_worker
-  /// processes.  Results are bit-identical at every value — like
-  /// parallel_shots, this is purely a wall-clock knob (see the "Process
-  /// sharding" notes above).
+  /// back to 1; 1 never shards; >= 2 runs calls on an embedded mbqd with
+  /// that many mbq_worker processes.  Results are bit-identical at every
+  /// value — like parallel_shots, this is purely a wall-clock knob (see
+  /// "Executors" above).
   int num_processes = 0;
   /// Explicit path to the mbq_worker executable; empty uses
   /// shard::resolve_worker_path's search ($MBQ_WORKER, then next to the
@@ -110,15 +117,12 @@ struct SessionOptions {
   /// "tcp:host:port"); empty (the default) reads the MBQ_DAEMON_ENDPOINT
   /// environment variable, and when that is unset too the session runs
   /// locally.  With an endpoint in effect, sample(), sample_batch() and
-  /// expectation_batch() execute on the daemon's shared worker fleet
-  /// (serve/daemon.h) instead of session-owned processes: the daemon
-  /// streams finished slices back and the session merges them in index
-  /// order, so results are bit-identical to local execution.  Remote
-  /// mode never falls back silently — an unreachable daemon, a version
-  /// mismatch, or a workload that cannot cross a process boundary is a
-  /// loud Error.  Single-point expectation()/expectation_async() stay
-  /// in-process (same results either way; they are latency-bound, not
-  /// throughput-bound).
+  /// expectation_batch() execute on that daemon's shared worker fleet
+  /// (serve/daemon.h) instead of an embedded one: the daemon streams
+  /// finished slices back and the session merges them in index order, so
+  /// results are bit-identical to local execution.  Remote mode never
+  /// falls back silently — an unreachable daemon, a version mismatch, or
+  /// a workload that cannot cross a process boundary is a loud Error.
   std::string daemon_endpoint;
   /// Entangler-noise probability for the workload's measurement-based
   /// execution (mbqc/runner.h's depolarizing channel).  0 leaves the
@@ -177,7 +181,7 @@ class Session {
           SessionOptions options = {});
   Session(Workload workload, std::shared_ptr<Backend> backend,
           SessionOptions options = {});
-  ~Session();  // out of line: owns an incomplete-type worker pool
+  ~Session();  // out of line: owns incomplete-type daemon objects
 
   // Deliberately no mutable workload() accessor: the prepare() cache is
   // keyed by angles only, so workload options must not change under a
@@ -235,17 +239,12 @@ class Session {
   std::uint64_t cache_misses() const noexcept { return cache_misses_; }
 
   // --- sharding introspection ------------------------------------------
-  /// Live worker processes backing this session; 0 while unsharded (no
-  /// pool spawned yet, sharding not requested, or fallen back).  The
-  /// pool spawns lazily on the first sharded call.
-  int shard_workers() const noexcept;
+  /// Live worker processes of this session's embedded daemon; 0 until a
+  /// call starts it (sharding not requested, remote, or every call so far
+  /// ran in-process).
+  int shard_workers() const;
   /// The num_processes value in effect (options / MBQ_NUM_PROCESSES).
   int num_processes() const noexcept { return num_processes_; }
-  /// The live pool, for diagnostics and fault-injection tests; nullptr
-  /// while unsharded.
-  const shard::WorkerPool* worker_pool() const noexcept {
-    return pool_.get();
-  }
 
   // --- remote transport ------------------------------------------------
   /// True when a daemon endpoint is in effect (options or
@@ -260,52 +259,31 @@ class Session {
   /// space so they can never collide with sample() call streams.
   static constexpr std::uint64_t kExpectationStreamBase = 1ULL << 63;
 
-  /// Cache lookup; on a miss, runs the support check, prepares and
-  /// inserts.  Hits skip the check — entries are only inserted after it
-  /// passed and the workload is immutable while the Session lives.
-  std::shared_ptr<const Prepared> checked_prepared(const qaoa::Angles& a);
-  /// Batch variant: cache lookups and insertions stay serial, but the
+  /// The check phase: cache lookups and insertions stay serial, but the
   /// support checks and prepare() calls of all missing points run
   /// concurrently (backends are stateless).  Errors are rethrown for the
-  /// lowest-indexed failing point, matching the serial loop.
+  /// lowest-indexed failing point with every earlier point cached and
+  /// counted, matching the serial loop.  Hits skip the check — entries
+  /// are only inserted after it passed and the workload is immutable
+  /// while the Session lives.
   std::vector<std::shared_ptr<const Prepared>> checked_prepared_batch(
       std::span<const qaoa::Angles> points);
   const Prepared* peek_cache(const std::vector<real>& key) const;
   void insert_cache(std::vector<real> key,
                     std::shared_ptr<const Prepared> prepared);
 
-  /// The worker pool when this call (of `items` independent pieces)
-  /// should shard, else nullptr (fall back in-process).  Spawns the pool
-  /// on first use; a failed spawn or a dead pool disables sharding for
-  /// the session's lifetime.
-  shard::WorkerPool* shard_pool(std::uint64_t items);
-
-  /// Fill the request fields every daemon/worker call shares (backend
-  /// key, seed, workload); the caller sets kind, points and bounds.
-  shard::Request base_request() const;
-  /// Execute one whole request on the configured daemon, connecting
-  /// lazily.  Throws Error when the workload cannot travel or the
-  /// daemon is unreachable; a broken transport drops the connection so
-  /// the next call can reach a restarted daemon.
-  struct RemoteRun {
-    std::vector<std::uint64_t> outcomes;  // kSample payload
-    std::vector<real> values;             // kExpectation payload
-  };
-  RemoteRun run_remote(const shard::Request& req);
-  SampleResult sample_remote(const qaoa::Angles& a, int shots);
-  std::vector<SampleResult> sample_batch_remote(
-      std::span<const qaoa::Angles> points, int shots);
-  std::vector<real> expectation_batch_remote(
-      std::span<const qaoa::Angles> points);
-
-  SampleResult sample_sharded(const qaoa::Angles& a, int shots,
-                              std::uint64_t call, shard::WorkerPool& pool);
-  std::vector<SampleResult> sample_batch_sharded(
-      std::span<const qaoa::Angles> points, int shots, std::uint64_t base_call,
-      shard::WorkerPool& pool);
-  std::vector<real> expectation_batch_sharded(
-      std::span<const qaoa::Angles> points, std::uint64_t base,
-      shard::WorkerPool& pool);
+  /// A request over `points` with the fields every call shares.
+  shard::Request request(shard::TaskKind kind,
+                         std::span<const qaoa::Angles> points) const;
+  /// Run the check phase, advance `counter` by `count`, then evaluate on
+  /// executor(req.end).  Throws the request's error with the counter
+  /// rule of the header comment applied.
+  shard::Response run(const shard::Request& req, std::uint64_t& counter,
+                      std::uint64_t count);
+  /// The daemon a call of `items` independent pieces runs on, or nullptr
+  /// to run in-process — every fallback rule lives here.  Connects (and
+  /// for num_processes >= 2 starts the embedded daemon) on first use.
+  serve::DaemonClient* executor(std::uint64_t items);
 
   Workload workload_;
   std::shared_ptr<Backend> backend_;
@@ -321,10 +299,9 @@ class Session {
   /// registry).
   std::string registry_key_;
   int num_processes_ = 1;  // resolved from options / MBQ_NUM_PROCESSES
-  std::unique_ptr<shard::WorkerPool> pool_;
-  bool shard_disabled_ = false;
   std::string daemon_endpoint_;  // options / MBQ_DAEMON_ENDPOINT
-  std::unique_ptr<serve::DaemonClient> daemon_;  // lazy, remote() only
+  std::unique_ptr<serve::Daemon> embedded_;  // num_processes >= 2, lazy
+  std::unique_ptr<serve::DaemonClient> daemon_;  // lazy
 
   struct CacheEntry {
     std::vector<real> key;  // exact flattened angles

@@ -119,8 +119,7 @@ const qaoa::ParamCircuit& Workload::param_circuit() const {
 
 Workload& Workload::with_linear_style(core::LinearTermStyle style) {
   spec_.linear_style = style;
-  table_.reset();  // options do not affect the table, but stay conservative
-  lowered_.reset();
+  lower();
   return *this;
 }
 
@@ -128,7 +127,7 @@ Workload& Workload::with_max_wire_degree(int degree) {
   MBQ_REQUIRE(degree == 0 || degree >= 3,
               "max_wire_degree must be 0 (unlimited) or >= 3, got " << degree);
   spec_.max_wire_degree = degree;
-  lowered_.reset();
+  lower();
   return *this;
 }
 
@@ -136,7 +135,7 @@ Workload& Workload::with_entangler_noise(real probability) {
   MBQ_REQUIRE(probability >= 0.0 && probability <= 1.0,
               "entangler noise probability out of range: " << probability);
   spec_.entangler_noise = probability;
-  lowered_.reset();
+  lower();
   return *this;
 }
 
@@ -145,41 +144,34 @@ Workload& Workload::with_precision(Precision p) {
   MBQ_REQUIRE(v <= static_cast<std::uint8_t>(Precision::F32),
               "invalid precision " << int{v});
   spec_.precision = p;
-  lowered_.reset();
+  lower();
   return *this;
 }
 
 Workload& Workload::with_spec_compile(
     const speccomp::SpecCompileOptions& options) {
   spec_opt_ = options;
-  lowered_.reset();
+  lower();
   return *this;
 }
 
-const speccomp::CompiledSpec& Workload::lowered() const {
-  if (!lowered_)
-    lowered_ = std::make_shared<const speccomp::CompiledSpec>(
-        speccomp::compile_spec(spec_, spec_opt_));
-  return *lowered_;
-}
-
-const qaoa::ParamCircuit& Workload::registered_circuit() const {
-  if (!registered_circuit_) {
-    // Built from the RAW spec (the passes never touch the registered
-    // payload), through the registry's build hook.
-    const AnsatzKindHooks hooks =
-        AnsatzKindRegistry::instance().hooks(spec_.registered_name);
-    qaoa::ParamCircuit built = hooks.build(spec_);
-    MBQ_REQUIRE(built.num_qubits() == num_qubits(),
-                "registered ansatz '" << spec_.registered_name
-                                      << "' built a circuit on "
-                                      << built.num_qubits()
-                                      << " qubits, cost acts on "
-                                      << num_qubits());
-    registered_circuit_ =
-        std::make_shared<const qaoa::ParamCircuit>(std::move(built));
-  }
-  return *registered_circuit_;
+void Workload::lower() {
+  lowered_ = std::make_shared<const speccomp::CompiledSpec>(
+      speccomp::compile_spec(spec_, spec_opt_));
+  if (spec_.kind != AnsatzKind::Registered) return;
+  // Built from the RAW spec (the passes never touch the registered
+  // payload), through the registry's build hook.
+  const AnsatzKindHooks hooks =
+      AnsatzKindRegistry::instance().hooks(spec_.registered_name);
+  qaoa::ParamCircuit built = hooks.build(spec_);
+  MBQ_REQUIRE(built.num_qubits() == num_qubits(),
+              "registered ansatz '" << spec_.registered_name
+                                    << "' built a circuit on "
+                                    << built.num_qubits()
+                                    << " qubits, cost acts on "
+                                    << num_qubits());
+  registered_circuit_ =
+      std::make_shared<const qaoa::ParamCircuit>(std::move(built));
 }
 
 core::CompileOptions Workload::compile_options(bool final_corrections) const {
@@ -192,9 +184,11 @@ core::CompileOptions Workload::compile_options(bool final_corrections) const {
 }
 
 std::shared_ptr<const std::vector<real>> Workload::cost_table() const {
-  if (!table_)
-    table_ = std::make_shared<const std::vector<real>>(spec_.cost.cost_table());
-  return table_;
+  std::call_once(table_->once, [this] {
+    table_->table =
+        std::make_shared<const std::vector<real>>(spec_.cost.cost_table());
+  });
+  return table_->table;
 }
 
 Statevector Workload::reference_state(const qaoa::Angles& a) const {
@@ -223,7 +217,7 @@ Statevector Workload::reference_state(const qaoa::Angles& a) const {
     }
     case AnsatzKind::Registered: {
       Statevector sv = Statevector::all_plus(num_qubits());
-      registered_circuit().instantiate(a).apply_to(sv);
+      registered_circuit_->instantiate(a).apply_to(sv);
       return sv;
     }
     case AnsatzKind::CustomCircuit: {
@@ -252,7 +246,7 @@ core::CompiledPattern Workload::compile_pattern(const qaoa::Angles& a,
                                             options);
     case AnsatzKind::Registered:
       return core::compile_circuit_tailored(
-          registered_circuit().instantiate(a), options);
+          registered_circuit_->instantiate(a), options);
     case AnsatzKind::CustomCircuit:
       return core::compile_circuit_tailored(circuit_(a), options);
   }

@@ -37,13 +37,20 @@
 //                    workloads are the ONLY kind that cannot shard.
 //
 // Lowering runs through the spec compiler (speccomp/speccomp.h):
-// lowered() memoizes the optimized spec + scheduling hints the backends
+// lowered() holds the optimized spec + scheduling hints the backends
 // consume, while spec() stays the raw description — fingerprints, the
 // prepare caches, and every wire format key on the PRE-optimization
 // bytes, so optimization is a per-host lowering detail.
+//
+// Thread safety: every const method may run concurrently on one
+// Workload (Session prepares batch points in parallel).  The lowering
+// and a Registered kind's circuit are computed eagerly whenever the
+// workload is built or a with_* setter changes it; the 2^n cost table
+// stays lazy behind std::call_once.
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -146,21 +153,21 @@ class Workload {
 
   core::CompileOptions compile_options(bool final_corrections) const;
 
-  /// The spec-compiler output this workload lowers from (memoized,
-  /// shared across copies).  reference_state/compile_pattern consume
-  /// lowered().spec and lowered().hints; spec(), the fingerprints, and
-  /// the shard/serve wire formats always use the raw spec, so equal raw
-  /// specs stay equal on the wire however each host optimizes.
-  const speccomp::CompiledSpec& lowered() const;
+  /// The spec-compiler output this workload lowers from (computed when
+  /// the workload is built or reconfigured, shared across copies).
+  /// reference_state/compile_pattern consume lowered().spec and
+  /// lowered().hints; spec(), the fingerprints, and the shard/serve wire
+  /// formats always use the raw spec, so equal raw specs stay equal on
+  /// the wire however each host optimizes.
+  const speccomp::CompiledSpec& lowered() const noexcept { return *lowered_; }
 
   /// Override the spec-compiler pass set for this workload (default:
   /// SpecCompileOptions::from_env(), i.e. MBQ_SPEC_OPT or the standard
-  /// bit-neutral set).  Chainable; resets the memoized lowering.
+  /// bit-neutral set).  Chainable; re-lowers the workload.
   Workload& with_spec_compile(const speccomp::SpecCompileOptions& options);
 
-  /// Memoized full cost table c(x), x in [0, 2^n).  Shared across copies
-  /// of this workload; compute it once before handing the workload to
-  /// parallel workers.
+  /// Full cost table c(x), x in [0, 2^n), built on first use (safe to
+  /// race) and shared across copies of this workload.
   std::shared_ptr<const std::vector<real>> cost_table() const;
 
   /// Gate-model reference state at the given angles (each ansatz kind
@@ -175,20 +182,25 @@ class Workload {
                                         bool final_corrections) const;
 
  private:
-  explicit Workload(WorkloadSpec spec) : spec_(std::move(spec)) {}
+  explicit Workload(WorkloadSpec spec) : spec_(std::move(spec)) { lower(); }
 
-  /// Built circuit of a Registered ansatz (memoized via the registry's
-  /// build hook).
-  const qaoa::ParamCircuit& registered_circuit() const;
+  /// Recompute lowered_ and registered_circuit_ from spec_ and spec_opt_.
+  void lower();
+
+  struct CostTable {
+    std::once_flag once;
+    std::shared_ptr<const std::vector<real>> table;
+  };
 
   WorkloadSpec spec_;
   CircuitBuilder circuit_;  // CustomCircuit escape hatch only
   speccomp::SpecCompileOptions spec_opt_ =
       speccomp::SpecCompileOptions::from_env();
-  // Memo for cost_table(); shared so copies reuse the computed table.
-  mutable std::shared_ptr<const std::vector<real>> table_;
-  mutable std::shared_ptr<const speccomp::CompiledSpec> lowered_;
-  mutable std::shared_ptr<const qaoa::ParamCircuit> registered_circuit_;
+  std::shared_ptr<const speccomp::CompiledSpec> lowered_;
+  // Built circuit of a Registered ansatz (null for other kinds).
+  std::shared_ptr<const qaoa::ParamCircuit> registered_circuit_;
+  // cost_table()'s memo; copies share it, and no setter changes the cost.
+  std::shared_ptr<CostTable> table_ = std::make_shared<CostTable>();
 };
 
 }  // namespace mbq::api

@@ -6,15 +6,15 @@
 // while SLICE frames stream back in whatever order workers finish,
 // merging them by global index (frames.h SliceMerger) — so the returned
 // vectors are bit-identical to executing the request locally.  The
-// transport is synchronous by design: the Session calls run() exactly
-// where it would have run the sharded rounds, and concurrency across
-// clients lives in the daemon, not here.
+// transport is synchronous by design: a Session calls run() exactly
+// where it would have run the shared eval loop in-process, and
+// concurrency across clients lives in the daemon, not here.
 //
 // Failures are typed: a BUSY frame (backpressure) raises BusyError so
 // callers can retry or shed load; an ERROR frame raises RemoteError
-// carrying the failing global index and the error_in_eval phase flag,
-// which Session's remote transport uses to restore its stream counters
-// exactly like the local paths do.
+// carrying the serial loop's error — its global index and the
+// error_in_eval phase flag, which a Session uses to restore its stream
+// counters exactly like an in-process call.
 
 #include <cstdint>
 #include <string>

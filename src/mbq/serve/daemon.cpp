@@ -18,6 +18,8 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -26,7 +28,7 @@
 #include "mbq/common/error.h"
 #include "mbq/common/serialize.h"
 #include "mbq/shard/plan.h"
-#include "mbq/shard/worker_pool.h"
+#include "mbq/shard/worker.h"
 
 namespace mbq::serve {
 
@@ -69,12 +71,22 @@ struct ReqState {
   std::uint32_t total_slices = 0;
   std::uint32_t delivered = 0;
   std::uint32_t redispatched = 0;
-  std::uint32_t outstanding = 0;  // queued + in flight
+  std::set<std::uint64_t> pending;  // begin of every queued/in-flight slice
   bool warm_hit = false;
+  /// The winning error among the slices reported so far, held until no
+  /// pending slice could report one that beats it (settle_error).
+  std::optional<ErrorFrame> error;
   /// Answered with ERROR; kept only until in-flight slices drain so
   /// their late results can be discarded instead of dangling.
   bool failed = false;
 };
+
+/// The serial loop's order: check-phase failures (raised before any
+/// stream is drawn) beat evaluation failures, then the lower index wins.
+bool beats(const ErrorFrame& a, const ErrorFrame& b) {
+  if (a.error_in_eval != b.error_in_eval) return !a.error_in_eval;
+  return a.error_index < b.error_index;
+}
 
 struct Conn {
   std::uint64_t id = 0;
@@ -221,8 +233,7 @@ struct Daemon::Impl {
 
   // --- request lifecycle ------------------------------------------------
 
-  void fail_request(Conn& c, std::uint64_t request_id, std::uint64_t index,
-                    bool in_eval, const std::string& message) {
+  void fail_request(Conn& c, std::uint64_t request_id, ErrorFrame e) {
     auto it = c.requests.find(request_id);
     if (it == c.requests.end() || it->second.failed) return;
     ReqState& rs = it->second;
@@ -230,27 +241,35 @@ struct Daemon::Impl {
     std::uint64_t cancelled = 0;
     for (auto jit = c.queue.begin(); jit != c.queue.end();) {
       if (jit->request_id == request_id) {
+        rs.pending.erase(jit->begin);
         jit = c.queue.erase(jit);
         ++cancelled;
       } else {
         ++jit;
       }
     }
-    rs.outstanding -= static_cast<std::uint32_t>(cancelled);
-    const bool erase_now = rs.outstanding == 0;
+    const bool erase_now = rs.pending.empty();
     // Counters before the frame, same reasoning as the DONE path: once
     // the ERROR frame is on the wire the client may observe stats.
     stat([&](DaemonStats& s) {
       s.requests_active--;
       s.queue_depth -= cancelled;
     });
-    ErrorFrame e;
     e.request_id = request_id;
-    e.error_index = index;
-    e.error_in_eval = in_eval;
-    e.message = message;
     queue_out(c, encode_error(e));
     if (erase_now) c.requests.erase(it);
+  }
+
+  /// Answer with the held error once no pending slice could still beat
+  /// it: one below a check failure's index could report a lower check
+  /// failure, and any slice could beat an eval failure from its check
+  /// phase.  So the answer never depends on scheduling.
+  void settle_error(Conn& c, std::uint64_t request_id, ReqState& rs) {
+    const ErrorFrame& e = *rs.error;
+    if (!rs.pending.empty() &&
+        (e.error_in_eval || *rs.pending.begin() < e.error_index))
+      return;
+    fail_request(c, request_id, e);
   }
 
   // --- client events ----------------------------------------------------
@@ -436,8 +455,8 @@ struct Daemon::Impl {
         j.end = whole->begin + r.end;
         j.fingerprint = fp;
         j.whole = whole;
+        rs.pending.insert(j.begin);
         c.queue.push_back(std::move(j));
-        rs.outstanding++;
       }
       c.requests.emplace(id, std::move(rs));
       stat([&](DaemonStats& st) {
@@ -503,25 +522,31 @@ struct Daemon::Impl {
     const auto rit = c.requests.find(job.request_id);
     if (rit == c.requests.end()) return;
     ReqState& rs = rit->second;
-    rs.outstanding--;
+    rs.pending.erase(job.begin);
     if (rs.failed) {
-      if (rs.outstanding == 0) c.requests.erase(rit);
+      if (rs.pending.empty()) c.requests.erase(rit);
       return;
     }
 
-    if (!resp.ok) {
-      fail_request(c, job.request_id, resp.error_index + offset,
-                   resp.error_in_eval, resp.error_message);
-      return;
-    }
     const std::uint64_t expected = job.end - job.begin;
     const std::uint64_t got = job.whole->kind == shard::TaskKind::kSample
                                   ? resp.outcomes.size()
                                   : resp.values.size();
-    if (got != expected) {
-      fail_request(c, job.request_id, job.begin, false,
-                   "worker returned " + std::to_string(got) +
-                       " items for a slice of " + std::to_string(expected));
+    if (!resp.ok) {
+      ErrorFrame e{.error_index = resp.error_index + offset,
+                   .error_in_eval = resp.error_in_eval,
+                   .message = std::move(resp.error_message)};
+      if (!rs.error || beats(e, *rs.error)) rs.error = std::move(e);
+    } else if (got != expected) {
+      fail_request(c, job.request_id,
+                   {.error_index = job.begin,
+                    .message = "worker returned " + std::to_string(got) +
+                               " items for a slice of " +
+                               std::to_string(expected)});
+      return;
+    }
+    if (rs.error) {
+      settle_error(c, job.request_id, rs);
       return;
     }
 
@@ -599,8 +624,8 @@ struct Daemon::Impl {
     if (rit == c.requests.end()) return;
     ReqState& rs = rit->second;
     if (rs.failed) {
-      rs.outstanding--;
-      if (rs.outstanding == 0) c.requests.erase(rit);
+      rs.pending.erase(job.begin);
+      if (rs.pending.empty()) c.requests.erase(rit);
       return;
     }
     rs.redispatched++;
@@ -609,13 +634,15 @@ struct Daemon::Impl {
     // retrying forever (a too-small worker_timeout_ms, or a workload
     // that crashes the backend): give up loudly.
     if (rs.redispatched > rs.total_slices + 4) {
-      rs.outstanding--;
-      fail_request(c, job.request_id, job.begin, false,
-                   "slice [" + std::to_string(job.begin) + ", " +
-                       std::to_string(job.end) + ") was re-dispatched " +
-                       std::to_string(rs.redispatched) +
-                       " times without completing (workers keep dying or "
-                       "timing out)");
+      rs.pending.erase(job.begin);
+      fail_request(c, job.request_id,
+                   {.error_index = job.begin,
+                    .message = "slice [" + std::to_string(job.begin) + ", " +
+                               std::to_string(job.end) +
+                               ") was re-dispatched " +
+                               std::to_string(rs.redispatched) +
+                               " times without completing (workers keep "
+                               "dying or timing out)"});
       return;
     }
     // Front of the line: it was dispatched once, it goes next.
@@ -637,7 +664,8 @@ struct Daemon::Impl {
       ids.reserve(c.requests.size());
       for (const auto& [id, rs] : c.requests)
         if (!rs.failed) ids.push_back(id);
-      for (const std::uint64_t id : ids) fail_request(c, id, 0, false, why);
+      for (const std::uint64_t id : ids)
+        fail_request(c, id, {.message = why});
     }
   }
 

@@ -37,13 +37,17 @@
 //
 // Determinism contract: the daemon never invents randomness and never
 // rewrites spec bytes; it only cuts [begin, end) into sub-slices with
-// shard::rebase_slice — the same helper the in-process sharded Session
-// uses — so a request's merged answer is bit-equal to running it
-// locally at any worker count, through any schedule, across any number
-// of worker deaths.  (Error REPORTING is the one scheduling-dependent
-// surface: when several slices fail, the client sees whichever error
-// arrived first, not necessarily the lowest index — the error class and
-// stream-counter semantics are preserved.)
+// shard::rebase_slice, so a request's merged answer is bit-equal to
+// running it locally at any worker count, through any schedule, across
+// any number of worker deaths.  The same holds for a failed request: it
+// is answered with the error the serial loop raises — a check-phase
+// failure (support check or prepare, before any stream is drawn) over
+// an evaluation failure, then the lowest global index — held until no
+// outstanding slice could still report one that wins.
+//
+// A Session with num_processes >= 2 runs its own Daemon on a private
+// unix socket (api/session.h), so process sharding and serving share
+// this one fleet manager and its failure model.
 
 #include <cstdint>
 #include <memory>

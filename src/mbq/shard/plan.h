@@ -1,15 +1,14 @@
 #pragma once
-// ShardPlan: how a block of independent work items splits across worker
-// processes.
+// ShardPlan: how a block of independent work items splits into slices
+// for worker processes (the serving daemon cuts every request with it).
 //
-// Every sharded entry point — sample() shots, sample_batch() (point,
-// shot) pairs, expectation_batch() angle points — is a loop over a
-// contiguous global index space in which item i's randomness is a pure
-// function of (seed, i) via Rng::stream (see api/session.h for the exact
-// stream assignment).  A ShardPlan therefore only has to hand each
-// worker a contiguous [begin, end) slice of that space: the worker
-// replays exactly the streams the serial loop would, and the parent
-// concatenates the slices back in index order.  Merged results are
+// Every request — sample_batch() (point, shot) pairs, expectation_batch()
+// angle points — is a loop over a contiguous global index space in which
+// item i's randomness is a pure function of (seed, i) via Rng::stream
+// (see shard/task.h for the exact stream assignment).  A ShardPlan
+// therefore only has to hand each worker a contiguous [begin, end) slice
+// of that space: the worker replays exactly the streams the serial loop
+// would, and the client merges the slices back in index order.  Merged results are
 // bit-identical to the in-process path by construction, whatever the
 // worker count.
 

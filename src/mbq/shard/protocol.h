@@ -61,7 +61,7 @@ enum class TaskKind : std::uint8_t {
   /// Sample the flattened (point, shot) slice [begin, end) of
   /// points.size() * shots pairs; pair t = (point t / shots, shot
   /// t % shots) draws Rng(seed).stream(base_call + point).stream(shot) —
-  /// exactly Session::sample/sample_batch's assignment.  Response
+  /// exactly Session::sample_batch's assignment.  Response
   /// payload: (end - begin) u64 outcomes in t order.
   kSample = 1,
   /// Evaluate expectation for points [begin, end); point i draws
@@ -93,11 +93,9 @@ Request decode_request(std::span<const std::byte> frame);
 /// touched points with base_call advanced past the untouched prefix; for
 /// kExpectation the point list is cut with stream_base absorbing the
 /// offset.  `offset` maps the sub-request's slice-local indices (error
-/// reports, response positions) back to `whole`'s index space.  Both the
-/// Session's sharded paths and the serving daemon's streaming dispatch
-/// split calls with this one helper, so their slices are
-/// indistinguishable to a worker.  Requires begin < end within whole's
-/// [begin, end).
+/// reports, response positions) back to `whole`'s index space.  The
+/// serving daemon cuts every request with this one helper.  Requires
+/// begin < end within whole's [begin, end).
 struct SliceRequest {
   Request request;
   std::uint64_t offset = 0;

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <exception>
-#include <memory>
+#include <mutex>
 
 #include "mbq/api/registry.h"
 #include "mbq/api/workload_spec.h"
 #include "mbq/common/error.h"
+#include "mbq/common/parallel.h"
 
 namespace mbq::shard {
 
@@ -20,8 +21,8 @@ Response error_response(std::uint64_t index, const std::string& what) {
   return r;
 }
 
-/// Mirrors Session::checked_prepared's support-check wording so a
-/// sharded failure reads the same as the in-process one.
+/// Mirrors Session's support-check wording so a worker failure reads the
+/// same as the in-process one.
 void require_supported(const api::Backend& backend, const api::Workload& w,
                        const qaoa::Angles& a) {
   const std::string reason = backend.unsupported_reason(w, a, nullptr);
@@ -32,15 +33,15 @@ void require_supported(const api::Backend& backend, const api::Workload& w,
 
 // --- warm prepare cache ------------------------------------------------
 // A small process-global LRU over prepare() artifacts, keyed by (backend
-// registry name, spec fingerprint, exact angle values).  For the
-// per-Session WorkerPool it saves recompiles when the variational loop
-// revisits angles across rounds (the parent's own cache cannot help — it
-// lives in a different process); for the long-lived serving daemon's
-// fleet it IS the warm cache: a repeated (workload, angles) pair from
-// any client skips compilation entirely.  Safe because prepare artifacts
-// are immutable and backends are stateless — reusing one is exactly what
-// Session's own LRU does; hits skip the support check for the same
-// reason Session's do (entries are only inserted after it passed).
+// registry name, spec fingerprint, exact angle values).  For the serving
+// daemon's fleet it IS the warm cache: a repeated (workload, angles)
+// pair from any client — or from the next round of a sharded Session's
+// variational loop — skips compilation entirely.  Safe because prepare
+// artifacts are immutable and backends are stateless — reusing one is
+// exactly what Session's own LRU does; hits skip the support check for
+// the same reason Session's do (entries are only inserted after it
+// passed).  Not synchronized: only single-threaded worker processes use
+// it (see tools/mbq_worker.cpp).
 
 struct PrepCacheEntry {
   std::string backend;
@@ -51,9 +52,8 @@ struct PrepCacheEntry {
 };
 
 constexpr std::size_t kPrepCacheCapacity = 32;
-std::vector<PrepCacheEntry> g_prep_cache;  // worker processes are
-std::uint64_t g_prep_clock = 0;            // single-threaded (see
-                                           // tools/mbq_worker.cpp)
+std::vector<PrepCacheEntry> g_prep_cache;
+std::uint64_t g_prep_clock = 0;
 
 std::shared_ptr<const api::Prepared> cached_prepare(
     const api::Backend& backend, const std::string& backend_name,
@@ -79,106 +79,84 @@ std::shared_ptr<const api::Prepared> cached_prepare(
   return prepared;
 }
 
-Response run_sample(const api::Backend& backend, const Request& req) {
-  Response out;
-  out.outcomes.reserve(static_cast<std::size_t>(req.end - req.begin));
-  const Rng root(req.seed);
-  MBQ_REQUIRE(req.shots >= 1, "sample request needs shots >= 1");
-  MBQ_REQUIRE(req.end <= req.points.size() * req.shots,
-              "sample slice end " << req.end << " exceeds "
-                                  << req.points.size() << " points x "
-                                  << req.shots << " shots");
-  const std::uint64_t fingerprint = api::spec_fingerprint(req.workload.spec());
-  // Pairs are processed in ascending flat order; the prepare artifact is
-  // reused across the (contiguous) shots of each point.
-  std::shared_ptr<const api::Prepared> prep;
-  std::uint64_t prep_point = ~std::uint64_t{0};
-  for (std::uint64_t t = req.begin; t < req.end; ++t) {
-    const std::uint64_t i = t / req.shots;
-    const std::uint64_t s = t % req.shots;
-    const qaoa::Angles& a = req.points[i];
-    if (i != prep_point) {
-      // Check/prepare failures report error_in_eval = false: the serial
-      // loop raises them from checked_prepared before burning any stream
-      // index, and a remote parent restores its call counter accordingly.
-      try {
-        prep = cached_prepare(backend, req.backend, fingerprint, req.workload,
-                              a);
-        prep_point = i;
-      } catch (const std::exception& e) {
-        return error_response(t, e.what());
-      }
-    }
-    try {
-      // Exactly Session::sample/sample_batch's stream assignment: shot s
-      // of sample call (base_call + i) draws stream(base_call + i) then
-      // stream(s) below it.
-      Rng shot_rng = root.stream(req.base_call + i).stream(s);
-      out.outcomes.push_back(
-          backend.sample_one(req.workload, a, shot_rng, prep.get()));
-    } catch (const std::exception& e) {
-      Response r = error_response(t, e.what());
-      r.error_in_eval = true;
-      return r;
-    }
-  }
-  return out;
-}
-
-Response run_expectation(const api::Backend& backend, const Request& req) {
-  Response out;
-  const std::size_t count = static_cast<std::size_t>(req.end - req.begin);
-  out.values.reserve(count);
-  const Rng root(req.seed);
-  MBQ_REQUIRE(req.end <= req.points.size(),
-              "expectation slice end " << req.end << " exceeds "
-                                       << req.points.size() << " points");
-  const std::uint64_t fingerprint = api::spec_fingerprint(req.workload.spec());
-  // Phase 1 — support checks and prepares for the whole slice BEFORE any
-  // stream is drawn, mirroring Session::checked_prepared_batch.  A
-  // failure here reports error_in_eval = false: the serial loop throws
-  // at this stage without burning any stream index, and the parent
-  // restores its call counter accordingly.
-  std::vector<std::shared_ptr<const api::Prepared>> preps(count);
-  for (std::uint64_t i = req.begin; i < req.end; ++i) {
-    try {
-      preps[i - req.begin] = cached_prepare(backend, req.backend, fingerprint,
-                                            req.workload, req.points[i]);
-    } catch (const std::exception& e) {
-      return error_response(i, e.what());
-    }
-  }
-  // Phase 2 — evaluation; failures here have consumed streams, like a
-  // serial eval throwing after the batch advanced its counter.
-  for (std::uint64_t i = req.begin; i < req.end; ++i) {
-    try {
-      // Session's assignment: the (stream_base + i)-th expectation
-      // stream (stream_base already carries kExpectationStreamBase).
-      Rng eval_rng = root.stream(req.stream_base + i);
-      out.values.push_back(backend.expectation(
-          req.workload, req.points[i], eval_rng, preps[i - req.begin].get()));
-    } catch (const std::exception& e) {
-      Response r = error_response(i, e.what());
-      r.error_in_eval = true;
-      return r;
-    }
-  }
-  return out;
-}
-
 }  // namespace
+
+Response evaluate(const api::Backend& backend, const Request& req,
+                  std::span<const std::shared_ptr<const api::Prepared>> preps,
+                  bool parallel) {
+  const bool sample = req.kind == TaskKind::kSample;
+  const auto count = static_cast<std::int64_t>(req.end - req.begin);
+  Response out;
+  if (sample)
+    out.outcomes.resize(static_cast<std::size_t>(count));
+  else
+    out.values.resize(static_cast<std::size_t>(count));
+  const Rng root(req.seed);
+
+  // The lowest failing index and its message: the failure the serial
+  // loop would hit first, whatever order the items ran in.
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  std::uint64_t failed = kNone;
+  std::mutex mutex;  // guards failed and out.error_message
+  const auto fail = [&](std::uint64_t t, const char* what) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (t < failed) {
+      failed = t;
+      out.error_message = what;
+    }
+  };
+  parallel_for_grain(count, parallel ? 1 : count + 1, [&](std::int64_t k) {
+    const std::uint64_t t = req.begin + static_cast<std::uint64_t>(k);
+    try {
+      if (sample) {
+        const std::uint64_t i = t / req.shots;
+        Rng rng = root.stream(req.base_call + i).stream(t % req.shots);
+        out.outcomes[k] = backend.sample_one(req.workload, req.points[i], rng,
+                                             preps[i].get());
+      } else {
+        Rng rng = root.stream(req.stream_base + t);
+        out.values[k] = backend.expectation(req.workload, req.points[t], rng,
+                                            preps[t].get());
+      }
+    } catch (const std::exception& e) {
+      fail(t, e.what());
+    } catch (...) {
+      fail(t, "unknown exception");
+    }
+  });
+  if (failed == kNone) return out;
+  Response r = error_response(failed, out.error_message);
+  r.error_in_eval = true;
+  return r;
+}
 
 Response execute_request(const Request& req) {
   try {
+    const bool sample = req.kind == TaskKind::kSample;
+    MBQ_REQUIRE(!sample || req.shots >= 1, "sample request needs shots >= 1");
+    const std::uint64_t space =
+        sample ? req.points.size() * req.shots : req.points.size();
+    MBQ_REQUIRE(req.end <= space, "request slice end "
+                                      << req.end
+                                      << " exceeds its index space of "
+                                      << space);
     const std::shared_ptr<api::Backend> backend =
         api::BackendRegistry::instance().create(req.backend);
-    switch (req.kind) {
-      case TaskKind::kSample:
-        return run_sample(*backend, req);
-      case TaskKind::kExpectation:
-        return run_expectation(*backend, req);
+    const std::uint64_t fingerprint =
+        api::spec_fingerprint(req.workload.spec());
+    std::vector<std::shared_ptr<const api::Prepared>> preps(req.points.size());
+    // t walks the first index of every point the slice touches.
+    for (std::uint64_t t = req.begin; t < req.end;) {
+      const std::uint64_t i = sample ? t / req.shots : t;
+      try {
+        preps[i] = cached_prepare(*backend, req.backend, fingerprint,
+                                  req.workload, req.points[i]);
+      } catch (const std::exception& e) {
+        return error_response(t, e.what());
+      }
+      t = sample ? (i + 1) * req.shots : t + 1;
     }
-    return error_response(req.begin, "unknown task kind");
+    return evaluate(*backend, req, preps);
   } catch (const std::exception& e) {
     return error_response(req.begin, e.what());
   }

@@ -3,8 +3,9 @@
 // in remote mode.  The load-bearing assertions are all bit-identity —
 // everything a Session gets back through mbqd must equal the
 // single-process local path exactly, including through backpressure,
-// concurrent tenants, protocol-version rejection, and (the acceptance
-// test) a worker SIGKILLed mid-run with a second client attached.
+// concurrent tenants, protocol-version rejection, a worker SIGKILLed
+// mid-run with a second client attached, and a wedged worker past its
+// deadline.  A failed request must carry the serial loop's error.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -13,6 +14,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,7 +25,8 @@
 #include "mbq/serve/client.h"
 #include "mbq/serve/daemon.h"
 #include "mbq/shard/protocol.h"
-#include "mbq/shard/worker_pool.h"
+#include "mbq/shard/task.h"
+#include "mbq/shard/worker.h"
 
 namespace mbq {
 namespace {
@@ -424,6 +428,136 @@ TEST_F(ServeDaemonTest, SigkillMidRunRedispatchesAndStaysBitIdentical) {
       Session(w2, "mbqc", remote_options(1002, endpoint)).sample(a, 300);
   // Fresh session, same seed: same first call as want2.
   expect_same_shots(after, want2, "post-recovery");
+  daemon.stop();
+}
+
+// --- wedged workers -----------------------------------------------------
+
+TEST_F(ServeDaemonTest, WedgedWorkerIsKilledAndItsSliceRedispatched) {
+  // A SIGSTOP'd worker keeps its channel open, so only the deadline can
+  // catch it: the daemon must SIGKILL it, re-dispatch its slice to a
+  // live worker, respawn the seat, and still answer bit-identically.
+  const std::string sock = unix_socket_path("wedged");
+  DaemonOptions opts = daemon_options({"unix:" + sock}, 2);
+  opts.worker_timeout_ms = 1000;
+  Daemon daemon(std::move(opts));
+  daemon.start();
+
+  const Workload w = Workload::maxcut(cycle_graph(8));
+  const Angles a({0.42}, {0.31});
+  const SampleResult want =
+      Session(w, "mbqc", local_options(61)).sample(a, 400);
+
+  // Seat 0 is the first free seat, so it takes the request's first
+  // slice — and holds it, stopped, until its deadline fires.
+  const std::int64_t victim = daemon.worker_pids().front();
+  ASSERT_EQ(::kill(static_cast<pid_t>(victim), SIGSTOP), 0);
+  const SampleResult got =
+      Session(w, "mbqc", remote_options(61, "unix:" + sock)).sample(a, 400);
+  expect_same_shots(got, want, "wedged worker");
+
+  const DaemonStats stats = daemon.stats();
+  EXPECT_GE(stats.slices_redispatched, 1u) << format_stats(stats);
+  EXPECT_GE(stats.worker_respawns, 1u) << format_stats(stats);
+  EXPECT_EQ(stats.requests_active, 0u);
+  const std::vector<std::int64_t> pids = daemon.worker_pids();
+  EXPECT_EQ(std::count(pids.begin(), pids.end(), victim), 0)
+      << "the wedged worker was never replaced";
+  daemon.stop();
+}
+
+// --- one thread per worker ---------------------------------------------
+
+TEST_F(ServeDaemonTest, WorkersRunOnOneThread) {
+  // n = 14 puts the pattern register above the 2^14-amplitude chunk
+  // cutoff, where the simulator kernels open a thread team unless the
+  // worker pinned its kernel threads: a worker that did not would show
+  // one thread per core here.
+  const std::string sock = unix_socket_path("threads");
+  Daemon daemon(daemon_options({"unix:" + sock}, 2));
+  daemon.start();
+
+  Rng rng(31);
+  shard::Request req;
+  req.kind = shard::TaskKind::kSample;
+  req.backend = "mbqc";
+  req.seed = 5;
+  req.workload = Workload::maxcut(random_regular_graph(14, 3, rng));
+  req.points = {Angles({0.42}, {0.31})};
+  req.shots = 8;
+  req.end = 8;
+  DaemonClient("unix:" + sock, "threads-test").run(req);
+
+  const DaemonStats stats = daemon.stats();
+  for (const WorkerStats& ws : stats.workers) {
+    ASSERT_GE(ws.slices_done, 1u) << "a worker ran no slice";
+    std::ifstream status("/proc/" + std::to_string(ws.pid) + "/status");
+    std::string key;
+    int threads = 0;
+    while (status >> key) {
+      if (key == "Threads:") status >> threads;
+      status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    }
+    EXPECT_EQ(threads, 1) << "worker " << ws.pid;
+  }
+  daemon.stop();
+}
+
+// --- deterministic errors ----------------------------------------------
+
+TEST_F(ServeDaemonTest, FailedRequestGetsTheSerialLoopsError) {
+  // Requests that fail in several slices at once, on a 4-worker fleet:
+  // the daemon must answer with the error the serial loop (one worker
+  // running the whole request) reports — a check-phase failure over any
+  // evaluation failure, then the lowest index — however the slices are
+  // scheduled.  A p = 1 point fails the p = 2 circuit's prepare; NaN
+  // angles pass it and fail evaluation.
+  const std::string sock = unix_socket_path("errors");
+  Daemon daemon(daemon_options({"unix:" + sock}, 4));
+  daemon.start();
+  DaemonClient client("unix:" + sock, "errors-test");
+
+  qaoa::ParamCircuit pc(4);
+  for (int layer = 0; layer < 2; ++layer) {
+    for (int q = 0; q < 4; ++q) pc.rz(q, qaoa::Param::gamma(layer));
+    for (int q = 0; q + 1 < 4; ++q) pc.cz(q, q + 1);
+    for (int q = 0; q < 4; ++q) pc.rx(q, qaoa::Param::beta(layer));
+  }
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  std::vector<Angles> points(8, Angles({0.3, 0.1}, {0.3, 0.2}));
+  points[1] = Angles({0.3, 0.1}, {0.3, nan});
+  points[3] = Angles({nan, 0.1}, {0.3, 0.2});
+
+  for (const bool with_check : {true, false}) {
+    for (const shard::TaskKind kind :
+         {shard::TaskKind::kExpectation, shard::TaskKind::kSample}) {
+      shard::Request req;
+      req.kind = kind;
+      req.backend = "mbqc";
+      req.seed = 9;
+      req.workload = Workload::parameterized(
+          qaoa::CostHamiltonian::maxcut(cycle_graph(4)), pc);
+      req.points = points;
+      if (with_check) req.points[6] = Angles({0.3}, {0.2});
+      req.shots = kind == shard::TaskKind::kSample ? 3 : 0;
+      req.end = kind == shard::TaskKind::kSample ? 24 : 8;
+
+      const shard::Response serial = shard::execute_request(req);
+      ASSERT_FALSE(serial.ok);
+      EXPECT_EQ(serial.error_in_eval, !with_check);
+      for (int trial = 0; trial < 3; ++trial) {
+        try {
+          client.run(req);
+          ADD_FAILURE() << "a failing request was answered with DONE";
+        } catch (const RemoteError& e) {
+          EXPECT_EQ(std::string(e.what()), serial.error_message);
+          EXPECT_EQ(e.index(), serial.error_index);
+          EXPECT_EQ(e.in_eval(), serial.error_in_eval);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(daemon.stats().requests_active, 0u);
   daemon.stop();
 }
 

@@ -1,17 +1,21 @@
 // Process-sharded sampling & batch evaluation: results must be
 // BIT-identical to the in-process path at every worker count (the
-// process-count half of Session's determinism contract), worker death
-// must surface as a descriptive Error — never a hang — with the Session
-// falling back in-process afterwards, and ShardPlan must cover the
-// index space exactly for every (total, workers) shape.
+// process-count half of Session's determinism contract), errors and
+// call counters must be the same in every execution mode, a sharded
+// Session must survive worker death, and ShardPlan must cover the index
+// space exactly for every (total, workers) shape.
 
 #include <gtest/gtest.h>
 #include <signal.h>
-#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -20,10 +24,11 @@
 #include "mbq/common/rng.h"
 #include "mbq/common/serialize.h"
 #include "mbq/graph/generators.h"
+#include "mbq/serve/daemon.h"
 #include "mbq/shard/plan.h"
 #include "mbq/shard/protocol.h"
 #include "mbq/shard/task.h"
-#include "mbq/shard/worker_pool.h"
+#include "mbq/shard/worker.h"
 
 namespace mbq {
 namespace {
@@ -40,6 +45,38 @@ std::string worker_path() {
       << "mbq_worker not found next to the test binary — build the "
          "mbq_worker target (part of the default build)";
   return path;
+}
+
+/// Live (non-zombie) mbq_worker children of this process: the fleet of
+/// the Session's embedded daemon, which runs in this process.
+std::vector<pid_t> worker_children() {
+  std::vector<pid_t> out;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc")) {
+    const std::string pid = entry.path().filename().string();
+    if (pid.find_first_not_of("0123456789") != std::string::npos) continue;
+    std::ifstream status(entry.path() / "status");
+    std::string key, name, state;
+    long ppid = -1;
+    while (status >> key) {
+      if (key == "Name:") status >> name;
+      else if (key == "State:") status >> state;
+      else if (key == "PPid:") status >> ppid;
+      status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    }
+    if (ppid == ::getpid() && name == "mbq_worker" && state != "Z")
+      out.push_back(static_cast<pid_t>(std::stol(pid)));
+  }
+  return out;
+}
+
+/// The message of the Error `call` throws ("" if it returns).
+std::string error_of(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 SessionOptions sharded_options(std::uint64_t seed, int processes) {
@@ -466,113 +503,133 @@ TEST(ShardSession, UnsupportedPointsThrowLikeTheSerialLoop) {
 
 // --- worker death ------------------------------------------------------
 
-TEST(ShardWorkerDeath, PoolRoundThrowsDescriptivelyAndNeverHangs) {
-  shard::WorkerPool pool(2, worker_path());
-  ASSERT_EQ(pool.size(), 2);
-  ASSERT_TRUE(pool.alive());
-  ASSERT_EQ(pool.pids().size(), 2u);
-
-  // Kill worker 1 and wait until it is fully gone, so the round below
-  // deterministically hits a dead channel.
-  const pid_t victim = pool.pids()[1];
-  ASSERT_EQ(kill(victim, SIGKILL), 0);
-  int status = 0;
-  ASSERT_EQ(waitpid(victim, &status, 0), victim);
-
-  shard::Request req;
-  req.kind = shard::TaskKind::kSample;
-  req.backend = "mbqc";
-  req.seed = 1;
-  req.workload = Workload::maxcut(cycle_graph(4));
-  req.points = {Angles({0.4}, {0.3})};
-  req.shots = 4;
-  req.begin = 0;
-  req.end = 2;
-  const std::vector<std::vector<std::byte>> requests = {
-      shard::encode_request(req), shard::encode_request(req)};
-
-  try {
-    pool.round(requests);
-    FAIL() << "round with a killed worker should have thrown";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("worker"), std::string::npos) << what;
-    EXPECT_NE(what.find("killed or crashed"), std::string::npos) << what;
-  }
-  EXPECT_FALSE(pool.alive());
-  EXPECT_THROW(pool.round(requests), Error);  // a broken pool stays broken
-}
-
-TEST(ShardWorkerDeath, SessionSurfacesTheErrorThenFallsBack) {
+TEST(ShardWorkerDeath, SessionSurvivesAKilledWorker) {
+  // A dead worker is the embedded daemon's to handle: it respawns the
+  // seat (and re-dispatches any slice the worker held), so the Session
+  // keeps sharding and its next call is bit-identical to an
+  // uninterrupted reference.
   const Workload w = Workload::maxcut(cycle_graph(4));
   const Angles a({0.4}, {0.3});
 
   Session session(w, "mbqc", sharded_options(21, 2));
-  const SampleResult first = session.sample(a, 8);  // spawns the pool
+  const SampleResult first = session.sample(a, 8);  // starts the daemon
   ASSERT_EQ(session.shard_workers(), 2);
 
-  const pid_t victim = session.worker_pool()->pids()[0];
+  const std::vector<pid_t> fleet = worker_children();
+  ASSERT_EQ(fleet.size(), 2u);
+  const pid_t victim = fleet[0];
   ASSERT_EQ(kill(victim, SIGKILL), 0);
-  int status = 0;
-  ASSERT_EQ(waitpid(victim, &status, 0), victim);
 
-  EXPECT_THROW(session.sample(a, 8), Error);  // descriptive, no hang
-  EXPECT_EQ(session.shard_workers(), 0);
-
-  // The session stays usable in-process, and the failed call burned its
-  // call index exactly as a serial call crashing mid-shots would — so
-  // call 2 here matches call 2 of an uninterrupted reference session.
   Session reference(w, "mbqc", sharded_options(21, 1));
-  const SampleResult ref0 = reference.sample(a, 8);
-  reference.sample(a, 8);  // index 1: consumed by the failed call above
-  const SampleResult ref2 = reference.sample(a, 8);
-  expect_same_shots(first, ref0, "pre-death call");
-  expect_same_shots(session.sample(a, 8), ref2, "post-death call");
+  expect_same_shots(first, reference.sample(a, 8), "pre-death call");
+  expect_same_shots(session.sample(a, 8), reference.sample(a, 8),
+                    "post-death call");
+  expect_same_shots(session.sample(a, 8), reference.sample(a, 8),
+                    "second post-death call");
+  EXPECT_EQ(session.shard_workers(), 2);
+  const std::vector<pid_t> healed = worker_children();
+  EXPECT_EQ(healed.size(), 2u);
+  EXPECT_EQ(std::count(healed.begin(), healed.end(), victim), 0)
+      << "the killed worker is still counted";
 }
 
-TEST(ShardWorkerDeath, WedgedWorkerTimesOutWithAMessageNotAHang) {
-  // A SIGSTOP'd worker is the nasty case: its socket stays open, so
-  // without a deadline the parent blocks forever.  MBQ_WORKER_TIMEOUT_MS
-  // (re-read every round) must turn it into an Error naming the worker
-  // and its slice.
-  shard::WorkerPool pool(2, worker_path());
-  const pid_t victim = pool.pids()[1];
-  ASSERT_EQ(kill(victim, SIGSTOP), 0);
+// --- deterministic errors ----------------------------------------------
 
-  shard::Request req;
-  req.kind = shard::TaskKind::kSample;
-  req.backend = "mbqc";
-  req.seed = 1;
-  req.workload = Workload::maxcut(cycle_graph(4));
-  req.points = {Angles({0.4}, {0.3})};
-  req.shots = 4;
-  req.begin = 0;
-  req.end = 2;
-  const std::vector<std::vector<std::byte>> requests = {
-      shard::encode_request(req), shard::encode_request(req)};
-
-  ASSERT_EQ(setenv("MBQ_WORKER_TIMEOUT_MS", "300", 1), 0);
-  EXPECT_EQ(shard::worker_timeout_ms(), 300);
-  try {
-    pool.round(requests);
-    FAIL() << "round against a stopped worker should have timed out";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("worker 1"), std::string::npos) << what;
-    EXPECT_NE(what.find(std::to_string(victim)), std::string::npos) << what;
-    EXPECT_NE(what.find("slice"), std::string::npos) << what;
-    EXPECT_NE(what.find("timed out after 300 ms"), std::string::npos)
-        << what;
+TEST(ShardSession, ErrorsAndCountersAreTheSameInEveryMode) {
+  // A declarative circuit that needs p = 2, under entangler noise so an
+  // expectation value depends on its stream (and so shows the counter).
+  // A p = 1 point fails its check phase (prepare throws); a NaN angle
+  // passes it and fails evaluation (the pattern run meets a zero-
+  // probability branch), with a different message per position.
+  qaoa::ParamCircuit pc(4);
+  for (int layer = 0; layer < 2; ++layer) {
+    for (int q = 0; q < 4; ++q) pc.rz(q, qaoa::Param::gamma(layer));
+    for (int q = 0; q + 1 < 4; ++q) pc.cz(q, q + 1);
+    for (int q = 0; q < 4; ++q) pc.rx(q, qaoa::Param::beta(layer));
   }
-  ASSERT_EQ(unsetenv("MBQ_WORKER_TIMEOUT_MS"), 0);
-  EXPECT_EQ(shard::worker_timeout_ms(), 0);
-  EXPECT_FALSE(pool.alive());  // the poisoned pool tore itself down
+  Workload w = Workload::parameterized(
+      qaoa::CostHamiltonian::maxcut(cycle_graph(4)), pc);
+  w.with_entangler_noise(0.05);
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  const Angles shallow({0.3}, {0.2});
+  const Angles nan_gamma({nan, 0.1}, {0.3, 0.2});
+  const Angles nan_beta({0.3, 0.1}, {0.3, nan});
+  std::vector<Angles> good = random_points(8, 2, 19);
 
-  // Unwedge and reap so the stopped child does not outlive the test.
-  kill(victim, SIGCONT);
-  kill(victim, SIGKILL);
-  int status = 0;
-  waitpid(victim, &status, 0);
+  // Eight points, so every point is its own daemon slice at 2 and 4
+  // workers: eval failures in slices 2 and 5, a check failure in 6.
+  std::vector<Angles> with_check = good;
+  with_check[2] = nan_beta;
+  with_check[5] = nan_gamma;
+  with_check[6] = shallow;
+  std::vector<Angles> eval_only = good;
+  eval_only[2] = nan_beta;
+  eval_only[5] = nan_gamma;
+
+  const std::string sock = "/tmp/mbq-shard-test-errors-" +
+                           std::to_string(::getpid()) + ".sock";
+  serve::DaemonOptions dopts;
+  dopts.endpoints = {"unix:" + sock};
+  dopts.workers = 2;
+  dopts.worker_path = worker_path();
+  serve::Daemon daemon(dopts);
+  daemon.start();
+
+  struct Outcome {
+    std::string check_error, eval_error;
+    real after_check = 0.0, after_eval = 0.0;
+    std::uint64_t hits = 0, misses = 0;
+  };
+  const auto run = [&](const SessionOptions& o, const std::string& mode) {
+    Session s(w, "mbqc", o);
+    Outcome out;
+    out.check_error = error_of([&] { s.expectation_batch(with_check); });
+    out.after_check = s.expectation(good[0]);
+    out.eval_error = error_of([&] { s.expectation_batch(eval_only); });
+    out.after_eval = s.expectation(good[0]);
+    out.hits = s.cache_hits();
+    out.misses = s.cache_misses();
+    if (o.num_processes > 1)
+      EXPECT_EQ(s.shard_workers(), o.num_processes) << mode;
+    return out;
+  };
+
+  const Outcome want = run(sharded_options(7, 1), "in-process");
+  // The serial loop's errors: the check failure wins over the earlier
+  // eval failures, then the lowest-index eval failure.
+  EXPECT_NE(want.check_error.find("gamma[1]"), std::string::npos)
+      << want.check_error;
+  const auto error_at = [&](const Angles& a) {
+    Session s(w, "mbqc", sharded_options(7, 1));
+    return error_of([&] { s.expectation_batch(std::vector<Angles>{a}); });
+  };
+  ASSERT_FALSE(want.eval_error.empty());
+  EXPECT_EQ(want.eval_error, error_at(nan_beta));
+  EXPECT_NE(want.eval_error, error_at(nan_gamma));
+  // Counters: the check failure consumed no index, so the next call
+  // draws stream 0; the eval failure consumed its eight, so the call
+  // after it draws stream 9.
+  Session reference(w, "mbqc", sharded_options(7, 1));
+  EXPECT_EQ(want.after_check, reference.expectation(good[0]));
+  reference.expectation_batch(good);
+  EXPECT_EQ(want.after_eval, reference.expectation(good[0]));
+
+  SessionOptions remote = sharded_options(7, 1);
+  remote.daemon_endpoint = "unix:" + sock;
+  const std::vector<std::pair<std::string, SessionOptions>> modes = {
+      {"2 processes", sharded_options(7, 2)},
+      {"4 processes", sharded_options(7, 4)},
+      {"remote", remote}};
+  for (const auto& [mode, options] : modes) {
+    const Outcome got = run(options, mode);
+    EXPECT_EQ(got.check_error, want.check_error) << mode;
+    EXPECT_EQ(got.eval_error, want.eval_error) << mode;
+    EXPECT_EQ(got.after_check, want.after_check) << mode;
+    EXPECT_EQ(got.after_eval, want.after_eval) << mode;
+    EXPECT_EQ(got.hits, want.hits) << mode;
+    EXPECT_EQ(got.misses, want.misses) << mode;
+  }
+  daemon.stop();
 }
 
 // --- merge-order independence ------------------------------------------

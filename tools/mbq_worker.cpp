@@ -1,17 +1,18 @@
 // mbq_worker — the shard worker process entrypoint.
 //
-// Spawned by shard::WorkerPool with one argument: the file descriptor of
-// its AF_UNIX channel to the parent.  The loop is the whole program:
-// read a request frame, execute it (shard::execute_request builds the
-// backend from the registry and replays the slice's Rng streams), write
-// the response frame, repeat until the parent closes the channel.
+// Spawned by the serving daemon's fleet (serve/daemon.h) — an mbqd, or
+// the embedded daemon of a process-sharded Session — with one argument:
+// the file descriptor of its AF_UNIX channel to the parent.  The loop is
+// the whole program: read a request frame, execute it
+// (shard::execute_request builds the backend from the registry and
+// replays the slice's Rng streams), write the response frame, repeat
+// until the parent closes the channel.
 //
 // Determinism: requests carry (seed, stream indices), never generator
 // state, so results are independent of which worker runs a slice and of
-// everything this process did before.  Workers run their slices
-// serially — process count is the parallelism axis here, and results
-// are bit-identical regardless (set MBQ_WORKER_THREADS to opt into
-// intra-worker OpenMP threading on large registers).
+// everything this process did before.  Each worker runs on one thread,
+// for shots and simulator kernels alike: the fleet's process count is
+// the parallelism axis, and results are bit-identical regardless.
 
 #include <unistd.h>
 
@@ -25,6 +26,7 @@
 #include "mbq/common/parallel.h"
 #include "mbq/shard/protocol.h"
 #include "mbq/shard/task.h"
+#include "mbq/sim/collapse_threaded.h"
 #include "mbq/speccomp/json.h"
 
 namespace {
@@ -67,8 +69,8 @@ int main(int argc, char** argv) {
 
   if (argc != 2) {
     std::cerr << "usage: mbq_worker <channel-fd> | mbq_worker --decode-spec\n"
-              << "(spawned by mbq::shard::WorkerPool; --decode-spec reads a "
-                 "JSON spec on stdin and echoes the canonical form)\n";
+              << "(spawned by an mbq::serve::Daemon fleet; --decode-spec "
+                 "reads a JSON spec on stdin and echoes the canonical form)\n";
     return 2;
   }
   const int fd = std::atoi(argv[1]);
@@ -77,13 +79,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Workers default to one thread apiece: the pool already keys its
-  // worker count to the cores it wants used, and nested OpenMP teams in
-  // every child would oversubscribe the box.
-  int worker_threads = 1;
-  if (const char* env = std::getenv("MBQ_WORKER_THREADS"))
-    if (const int n = std::atoi(env); n >= 1) worker_threads = n;
-  set_num_threads(worker_threads);
+  // One thread per worker: the fleet keys its size to the cores it may
+  // use, and an OpenMP team in every child — over shots or inside the
+  // chunked kernels — would oversubscribe the box.
+  set_num_threads(1);
+  thr::set_kernel_threads(1);
 
   try {
     while (true) {

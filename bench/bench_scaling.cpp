@@ -19,7 +19,6 @@
 #include "mbq/mbqc/runner.h"
 #include "mbq/qaoa/qaoa.h"
 #include "mbq/sim/collapse_kernels.h"
-#include "mbq/sim/collapse_threaded.h"
 #include "mbq/stab/tableau.h"
 
 namespace {
@@ -224,7 +223,7 @@ BENCHMARK(BM_PatternSampleSimd)
 void large_n_sample(benchmark::State& state, SimdIsa isa, int threads,
                     Precision prec) {
   const SimdIsa orig = active_simd_isa();
-  const int orig_threads = thr::kernel_threads();
+  const int orig_threads = num_threads();
   const int n = static_cast<int>(state.range(0));
   Rng rng(3);
   const auto cost = qaoa::CostHamiltonian::maxcut(cycle_graph(n));
@@ -236,7 +235,7 @@ void large_n_sample(benchmark::State& state, SimdIsa isa, int threads,
 
   auto stream = [&](SimdIsa leg, int t) {
     force_simd_isa(leg);
-    thr::set_kernel_threads(t);
+    set_num_threads(t);
     mbqc::PatternExecutor exec(compiled, opts);
     Rng leg_rng(17);
     std::vector<std::uint64_t> xs;
@@ -247,14 +246,14 @@ void large_n_sample(benchmark::State& state, SimdIsa isa, int threads,
   const bool identical = stream(SimdIsa::Scalar, 1) == stream(isa, threads);
   if (!identical) {
     force_simd_isa(orig);
-    thr::set_kernel_threads(orig_threads);
+    set_num_threads(orig_threads);
     state.SkipWithError(
         "sampled streams diverged from the scalar single-threaded leg");
     return;
   }
 
   force_simd_isa(isa);
-  thr::set_kernel_threads(threads);
+  set_num_threads(threads);
   mbqc::PatternExecutor exec(compiled, opts);
   Rng run_rng(4);
   for (auto _ : state) {
@@ -265,7 +264,7 @@ void large_n_sample(benchmark::State& state, SimdIsa isa, int threads,
   state.counters["kernel_threads"] = threads;
   state.SetLabel(std::string(isa_name(isa)) + "/" + precision_name(prec));
   force_simd_isa(orig);
-  thr::set_kernel_threads(orig_threads);
+  set_num_threads(orig_threads);
 }
 
 void BM_LargeNSampleSimd(benchmark::State& state) {

@@ -15,7 +15,6 @@
 #include "mbq/serve/daemon.h"
 #include "mbq/shard/protocol.h"
 #include "mbq/shard/task.h"
-#include "mbq/sim/collapse_threaded.h"
 
 namespace mbq::api {
 
@@ -116,8 +115,6 @@ Session::Session(Workload workload, std::shared_ptr<Backend> backend,
                     << precision_name(workload_.precision()));
     workload_.with_precision(options_.precision);
   }
-  if (options_.kernel_threads > 0)
-    thr::set_kernel_threads(options_.kernel_threads);
   num_processes_ = resolve_num_processes(options_.num_processes);
   daemon_endpoint_ = options_.daemon_endpoint;
   if (daemon_endpoint_.empty())
@@ -352,8 +349,7 @@ shard::Response Session::run(const shard::Request& req,
   serve::DaemonClient* daemon = executor(req.end);
   counter += count;
   if (daemon == nullptr) {
-    shard::Response r =
-        shard::evaluate(*backend_, req, preps, options_.parallel_shots);
+    shard::Response r = shard::evaluate(*backend_, req, preps);
     if (!r.ok) throw Error(r.error_message);
     return r;
   }

@@ -31,6 +31,13 @@
 //      worker fleet, where each mbq_worker runs the same loop on its
 //      slice.
 //
+// Threads.  A Session has no thread setting of its own: in-process work
+// spends the process's one budget, mbq::num_threads() (OMP_NUM_THREADS,
+// or set_num_threads()), by the rule in common/parallel.h.  A call of
+// two or more items runs its items in parallel and each item's chunked
+// simulator kernels on one thread; a call of one item gives its kernels
+// the whole budget.  Each mbq_worker runs on one thread.
+//
 // Determinism contract: shot s of sample call k draws
 // rng.stream(k).stream(s), and the k-th expectation this session
 // evaluates — through expectation(), a batch slot, or a future — draws
@@ -96,18 +103,14 @@ namespace mbq::api {
 
 struct SessionOptions {
   std::uint64_t seed = 0x51E55ED5EEDULL;
-  /// Fan an in-process batch call's items (sample shots, batch points)
-  /// out across threads (results are identical either way; this is
-  /// purely a wall-clock knob).
-  bool parallel_shots = true;
   /// Entries kept in the per-angle prepare() cache before LRU eviction.
   std::size_t cache_capacity = 64;
   /// Worker processes for sample/sample_batch/expectation_batch.  0 (the
   /// default) reads the MBQ_NUM_PROCESSES environment variable, falling
   /// back to 1; 1 never shards; >= 2 runs calls on an embedded mbqd with
   /// that many mbq_worker processes.  Results are bit-identical at every
-  /// value — like parallel_shots, this is purely a wall-clock knob (see
-  /// "Executors" above).
+  /// value — like the thread budget, this is purely a wall-clock knob
+  /// (see "Executors" and "Threads" above).
   int num_processes = 0;
   /// Explicit path to the mbq_worker executable; empty uses
   /// shard::resolve_worker_path's search ($MBQ_WORKER, then next to the
@@ -143,14 +146,6 @@ struct SessionOptions {
   /// sharded and remote execution — but are NOT bit-comparable to f64
   /// runs of the same workload.
   Precision precision = Precision::F64;
-  /// Kernel threads for the simulator's chunked amplitude sweeps
-  /// (sim/collapse_threaded.h).  0 (the default) resolves the
-  /// MBQ_KERNEL_THREADS environment variable ("auto"/unset = the OpenMP
-  /// default); >= 1 pins the count process-wide.  Purely a wall-clock
-  /// knob: results are bit-identical at every value.  NOTE: the setting
-  /// is process-global (the kernels are shared), so the last constructed
-  /// Session wins.
-  int kernel_threads = 0;
 };
 
 struct Shot {

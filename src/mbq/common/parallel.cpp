@@ -1,5 +1,7 @@
 #include "mbq/common/parallel.h"
 
+#include <atomic>
+
 namespace mbq {
 
 namespace {
@@ -13,6 +15,12 @@ namespace {
 /// max back and "restore default" then restored the override instead of
 /// the build default.
 const int kStartupThreads = omp_get_max_threads();
+
+/// The budget, shared by every thread of the process.  (OpenMP's own
+/// omp_set_num_threads sets only the calling thread's value, so a
+/// std::thread or std::async task would not see it; every team the
+/// helpers open passes its width explicitly instead.)
+std::atomic<int> g_budget{kStartupThreads};
 #endif
 
 }  // namespace
@@ -27,7 +35,7 @@ int default_num_threads() noexcept {
 
 int num_threads() noexcept {
 #ifdef MBQ_HAS_OPENMP
-  return omp_get_max_threads();
+  return g_budget.load();
 #else
   return 1;
 #endif
@@ -35,7 +43,7 @@ int num_threads() noexcept {
 
 void set_num_threads(int n) noexcept {
 #ifdef MBQ_HAS_OPENMP
-  omp_set_num_threads(n >= 1 ? n : default_num_threads());
+  g_budget.store(n >= 1 ? n : default_num_threads());
 #else
   (void)n;
 #endif

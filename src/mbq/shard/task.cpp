@@ -81,9 +81,9 @@ std::shared_ptr<const api::Prepared> cached_prepare(
 
 }  // namespace
 
-Response evaluate(const api::Backend& backend, const Request& req,
-                  std::span<const std::shared_ptr<const api::Prepared>> preps,
-                  bool parallel) {
+Response evaluate(
+    const api::Backend& backend, const Request& req,
+    std::span<const std::shared_ptr<const api::Prepared>> preps) {
   const bool sample = req.kind == TaskKind::kSample;
   const auto count = static_cast<std::int64_t>(req.end - req.begin);
   Response out;
@@ -105,7 +105,7 @@ Response evaluate(const api::Backend& backend, const Request& req,
       out.error_message = what;
     }
   };
-  parallel_for_grain(count, parallel ? 1 : count + 1, [&](std::int64_t k) {
+  parallel_for_grain(count, 1, [&](std::int64_t k) {
     const std::uint64_t t = req.begin + static_cast<std::uint64_t>(k);
     try {
       if (sample) {

@@ -26,13 +26,14 @@ namespace mbq::shard {
 /// Evaluate items [req.begin, req.end) of `req` on `backend`; preps[i] is
 /// the prepare artifact of req.points[i] (null where the backend caches
 /// nothing, or for points outside the slice).  Items fan out over
-/// parallel_for_grain when `parallel`, else run in index order; the
-/// streams are the same either way.  Never throws: a failure becomes an
-/// error Response at the lowest failing index, with error_in_eval set
-/// (its streams were drawn).
-Response evaluate(const api::Backend& backend, const Request& req,
-                  std::span<const std::shared_ptr<const api::Prepared>> preps,
-                  bool parallel = true);
+/// parallel_for_grain, so the thread budget (common/parallel.h) goes to
+/// the items when there are two or more; the streams are the same at
+/// every thread count.  Never throws: a failure becomes an error
+/// Response at the lowest failing index, with error_in_eval set (its
+/// streams were drawn).
+Response evaluate(
+    const api::Backend& backend, const Request& req,
+    std::span<const std::shared_ptr<const api::Prepared>> preps);
 
 /// Execute one request in a worker.  The check phase support-checks and
 /// prepares every point the slice touches before any stream is drawn; a

@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <vector>
 
 #include "mbq/common/error.h"
 
@@ -39,17 +38,6 @@ SpawnedWorker spawn_worker(const std::string& worker_path) {
   // Parent end must not leak into this child (it gets sv[1]) or any
   // later sibling.
   ::fcntl(sv[0], F_SETFD, FD_CLOEXEC);
-  // A worker runs on one thread (tools/mbq_worker.cpp).  The OpenMP cap
-  // also bounds the teams it does not size itself — the kernel dispatch
-  // self-check opens one of 8 — so no worker ever holds a thread pool.
-  // Built before fork: the child may only make async-signal-safe calls.
-  std::vector<std::string> env;
-  for (char** e = environ; *e != nullptr; ++e)
-    if (std::strncmp(*e, "OMP_THREAD_LIMIT=", 17) != 0) env.emplace_back(*e);
-  env.emplace_back("OMP_THREAD_LIMIT=1");
-  std::vector<char*> envp;
-  for (std::string& var : env) envp.push_back(var.data());
-  envp.push_back(nullptr);
 
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -63,7 +51,7 @@ SpawnedWorker spawn_worker(const std::string& worker_path) {
     ::dup2(sv[1], 3);  // dup2 clears CLOEXEC on the new descriptor
     if (sv[1] != 3) ::close(sv[1]);
     const char* argv[] = {worker_path.c_str(), "3", nullptr};
-    ::execve(worker_path.c_str(), const_cast<char**>(argv), envp.data());
+    ::execve(worker_path.c_str(), const_cast<char**>(argv), environ);
     _exit(127);  // exec failed; parent sees EOF and reports
   }
   ::close(sv[1]);

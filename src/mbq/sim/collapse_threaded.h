@@ -54,16 +54,10 @@ inline constexpr std::uint64_t kChunkAmps = std::uint64_t{1} << 13;
 /// An index space with at least this many entries is chunked.
 inline constexpr std::uint64_t kChunkCutoffDim = std::uint64_t{1} << 14;
 
-/// The process-global kernel thread count the DynamicStatevector
-/// drivers use.  First call resolves MBQ_KERNEL_THREADS: a positive
-/// integer pins the count, "auto"/unset picks the OpenMP default (1
-/// without OpenMP), anything else throws.  Always >= 1.  Purely a
-/// wall-clock knob — results are bit-identical at every value.
-int kernel_threads();
-
-/// Override the kernel thread count (SessionOptions::kernel_threads
-/// routes here); n <= 0 re-resolves from the environment.
-void set_kernel_threads(int n) noexcept;
+/// Source-compatible forwards to the one thread budget
+/// (common/parallel.h): the kernels run on num_threads() threads.
+inline int kernel_threads() noexcept { return num_threads(); }
+inline void set_kernel_threads(int n) noexcept { set_num_threads(n); }
 
 namespace detail {
 

@@ -5,6 +5,7 @@
 
 #include "mbq/common/bits.h"
 #include "mbq/common/error.h"
+#include "mbq/common/parallel.h"
 #include "mbq/sim/collapse_kernels.h"
 #include "mbq/sim/collapse_threaded.h"
 
@@ -155,7 +156,7 @@ template <class R>
 void DynamicStatevector::apply_x_impl(std::uint64_t xmask) {
   auto& a = amps<R>();
   thr::pauli_swap_pass(kernels_t<R>(), a.data(), a.size(), xmask, 0, 0, false,
-                       thr::kernel_threads());
+                       num_threads());
 }
 
 void DynamicStatevector::apply_x(int wire) {
@@ -175,7 +176,7 @@ void DynamicStatevector::sign_pass_impl(std::uint64_t eq_mask,
                                         std::uint64_t par_mask, bool negate) {
   auto& a = amps<R>();
   thr::sign_pass(kernels_t<R>(), a.data(), a.size(), eq_mask, par_mask, negate,
-                 thr::kernel_threads());
+                 num_threads());
 }
 
 void DynamicStatevector::apply_z(int wire) {
@@ -192,7 +193,7 @@ template <class R>
 void DynamicStatevector::apply_rz_impl(int q, cplx e) {
   auto& a = amps<R>();
   thr::phase_pass(kernels_t<R>(), a.data(), a.size(), q, to_c<R>(e),
-                  thr::kernel_threads());
+                  num_threads());
 }
 
 void DynamicStatevector::apply_rz(int wire, real theta) {
@@ -223,7 +224,7 @@ void DynamicStatevector::pauli_swap_impl(std::uint64_t xmask,
                                          std::uint64_t eq_mask, bool negate) {
   auto& a = amps<R>();
   thr::pauli_swap_pass(kernels_t<R>(), a.data(), a.size(), xmask, zmask,
-                       eq_mask, negate, thr::kernel_threads());
+                       eq_mask, negate, num_threads());
 }
 
 void DynamicStatevector::apply_cz_depolarize(int wire_a, int wire_b, real p,
@@ -278,7 +279,7 @@ void DynamicStatevector::add_plus_cz_impl(std::uint64_t partner_pos_mask) {
   // The chunked driver folds both halves under the global contract.
   fold_ = static_cast<real>(thr::add_plus_cz(
       kernels_t<R>(), a.data(), old_dim, partner_pos_mask,
-      static_cast<R>(1.0 / std::sqrt(2.0)), thr::kernel_threads()));
+      static_cast<R>(1.0 / std::sqrt(2.0)), num_threads()));
 }
 
 void DynamicStatevector::add_wire_plus_cz(int wire,
@@ -300,7 +301,7 @@ void DynamicStatevector::cz_masks_impl(const std::uint64_t* pair_masks,
                                        int count) {
   auto& a = amps<R>();
   thr::cz_masks_pass(kernels_t<R>(), a.data(), a.size(), pair_masks, count,
-                     thr::kernel_threads());
+                     num_threads());
 }
 
 void DynamicStatevector::apply_cz_masks(const std::uint64_t* pair_masks,
@@ -339,7 +340,7 @@ int DynamicStatevector::prep_cz_measure_impl(std::uint64_t partner_pos_mask,
   sc.resize(dim);
   const R s = static_cast<R>(1.0 / std::sqrt(2.0));
   const CollapseKernelsT<R>& kn = kernels_t<R>();
-  const int threads = thr::kernel_threads();
+  const int threads = num_threads();
 
   int outcome;
   R nrm2 = R(0);
@@ -409,7 +410,7 @@ int DynamicStatevector::teleport_measure_impl(std::uint64_t partner_pos_mask,
   sc.resize(dim);
   const R s = static_cast<R>(1.0 / std::sqrt(2.0));
   const CollapseKernelsT<R>& kn = kernels_t<R>();
-  const int threads = thr::kernel_threads();
+  const int threads = num_threads();
 
   // Projection fold fused into the collapse pass (the chunked driver
   // folds each out block as it is written instead of re-reading the
@@ -517,7 +518,7 @@ int DynamicStatevector::measure_remove_impl(int q, const Matrix& basis,
   const std::uint64_t pairs = a.size() / 2;
   sc.resize(pairs);
   const CollapseKernelsT<R>& kn = kernels_t<R>();
-  const int threads = thr::kernel_threads();
+  const int threads = num_threads();
 
   // Collapsed projections land in scratch, which then SWAPS with amps:
   // the two buffers ping-pong across calls, so a reused simulator never
@@ -669,7 +670,7 @@ template <class R>
 real DynamicStatevector::norm_impl() const {
   const auto& a = amps<R>();
   return std::sqrt(static_cast<real>(thr::fold_norms(
-      kernels_t<R>(), a.data(), a.size(), thr::kernel_threads())));
+      kernels_t<R>(), a.data(), a.size(), num_threads())));
 }
 
 real DynamicStatevector::norm() const {
@@ -680,7 +681,7 @@ template <class R>
 void DynamicStatevector::normalize_impl() {
   auto& a = amps<R>();
   const CollapseKernelsT<R>& kn = kernels_t<R>();
-  const int threads = thr::kernel_threads();
+  const int threads = num_threads();
   const R nrm2 = thr::fold_norms(kn, a.data(), a.size(), threads);
   // Uniform Born-denominator guard (on |ψ|², like every sampling path;
   // this used to test |ψ| against the same 1e-14, an inconsistency the

@@ -13,8 +13,8 @@
 // through the runtime-dispatched SIMD kernel table (sim/collapse_kernels.h,
 // scalar/AVX2/AVX-512/NEON), wrapped in the chunked drivers of
 // sim/collapse_threaded.h: above the chunk cutoff a sweep is tiled into
-// L2-sized blocks (and optionally executed by multiple threads — see
-// MBQ_KERNEL_THREADS).  The kernels' canonical reduction order and the
+// L2-sized blocks, run on up to num_threads() threads by the budget rule
+// of common/parallel.h.  The kernels' canonical reduction order and the
 // drivers' fixed chunk decomposition make results bit-identical across
 // ISAs AND across thread counts, so neither choice leaks into outcome
 // streams.

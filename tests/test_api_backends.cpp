@@ -14,6 +14,7 @@
 #include <numeric>
 
 #include "mbq/api/api.h"
+#include "mbq/common/parallel.h"
 #include "mbq/common/rng.h"
 #include "mbq/graph/generators.h"
 #include "mbq/qaoa/analytic.h"
@@ -185,13 +186,16 @@ TEST(BackendEquivalence, CustomCircuitAnsatzAgrees) {
 }
 
 TEST(Session, SamplingIsReproducibleAndThreadCountIndependent) {
+  struct ThreadGuard {
+    ~ThreadGuard() { set_num_threads(0); }
+  } guard;
   const Workload w = Workload::maxcut(cycle_graph(4));
   const Angles a({0.6}, {0.4});
-  SessionOptions serial{.seed = 7, .parallel_shots = false};
-  SessionOptions parallel{.seed = 7, .parallel_shots = true};
-  Session s1(w, "mbqc", serial);
-  Session s2(w, "mbqc", parallel);
+  Session s1(w, "mbqc", {.seed = 7});
+  Session s2(w, "mbqc", {.seed = 7});
+  set_num_threads(1);
   const SampleResult r1 = s1.sample(a, 64);
+  set_num_threads(4);
   const SampleResult r2 = s2.sample(a, 64);
   ASSERT_EQ(r1.shots.size(), r2.shots.size());
   for (std::size_t i = 0; i < r1.shots.size(); ++i)

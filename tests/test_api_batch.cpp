@@ -37,23 +37,38 @@ std::vector<Angles> random_points(int count, int p, std::uint64_t seed) {
 
 TEST(ExpectationBatch, BitIdenticalToSerialLoopAtEveryThreadCount) {
   ThreadCountGuard guard;
-  const Workload w = Workload::maxcut(cycle_graph(4));
+  // statevector at n = 14 folds <C> over 2^14 entries with parallel_sum,
+  // which a lone expectation() runs on the whole budget and a batch item
+  // runs on one thread.
+  Rng graph_rng(14);
+  const struct {
+    Workload workload;
+    const char* backend;
+  } inputs[] = {
+      {Workload::maxcut(cycle_graph(4)), "mbqc"},
+      {Workload::maxcut(random_regular_graph(14, 3, graph_rng)),
+       "statevector"},
+  };
   const std::vector<Angles> points = random_points(32, 1, 71);
 
-  // The serial reference: one expectation() call per point, in order.
-  std::vector<real> serial;
-  {
-    Session session(w, "mbqc", {.seed = 21});
-    for (const Angles& a : points) serial.push_back(session.expectation(a));
-  }
+  for (const auto& [w, backend] : inputs) {
+    // The serial reference: one expectation() call per point, in order.
+    std::vector<real> serial;
+    {
+      Session session(w, backend, {.seed = 21});
+      for (const Angles& a : points) serial.push_back(session.expectation(a));
+    }
 
-  for (int threads : {1, 2, 8}) {
-    set_num_threads(threads);
-    Session session(w, "mbqc", {.seed = 21});
-    const std::vector<real> batch = session.expectation_batch(points);
-    ASSERT_EQ(batch.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-      EXPECT_EQ(batch[i], serial[i]) << "threads=" << threads << " i=" << i;
+    for (int threads : {1, 2, 8}) {
+      set_num_threads(threads);
+      Session session(w, backend, {.seed = 21});
+      const std::vector<real> batch = session.expectation_batch(points);
+      ASSERT_EQ(batch.size(), points.size());
+      for (std::size_t i = 0; i < points.size(); ++i)
+        EXPECT_EQ(batch[i], serial[i])
+            << backend << " threads=" << threads << " i=" << i;
+    }
+    set_num_threads(0);
   }
 }
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "mbq/common/bits.h"
 #include "mbq/common/error.h"
@@ -202,6 +204,20 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_TRUE(w != v || w2 != v);
 }
 
+/// The size of the team running the caller (1 outside any team).
+int team_size() {
+#ifdef MBQ_HAS_OPENMP
+  return omp_get_num_threads();
+#else
+  return 1;
+#endif
+}
+
+/// Restores the startup thread budget when a test exits.
+struct BudgetGuard {
+  ~BudgetGuard() { set_num_threads(0); }
+};
+
 TEST(Parallel, SumMatchesSerial) {
   const std::int64_t n = 100000;
   const real par = parallel_sum(n, [](std::int64_t i) {
@@ -211,6 +227,85 @@ TEST(Parallel, SumMatchesSerial) {
   for (std::int64_t i = 0; i < n; ++i) ser += 1.0 / ((i + 1.0) * (i + 1.0));
   EXPECT_NEAR(par, ser, 1e-9);
   EXPECT_GE(num_threads(), 1);
+}
+
+// parallel_sum's bits depend only on n: fixed chunks, each summed
+// serially, partials added in ascending order — at every thread count
+// and inside a team.
+TEST(Parallel, SumIsBitIdenticalAtEveryThreadCount) {
+  BudgetGuard guard;
+  const auto f = [](std::int64_t i) { return std::sin(0.37 * i) / (i + 1.0); };
+  const std::int64_t n = 5 * kParallelGrain + 123;
+  set_num_threads(1);
+  const real want = parallel_sum(n, f);
+  for (const int threads : {2, 3, 4, 8}) {
+    set_num_threads(threads);
+    EXPECT_EQ(parallel_sum(n, f), want) << "threads=" << threads;
+  }
+  std::vector<real> in_team(4);
+  parallel_for_grain(4, 1, [&](std::int64_t i) {
+    in_team[static_cast<std::size_t>(i)] = parallel_sum(n, f);
+  });
+  for (const real v : in_team) EXPECT_EQ(v, want);
+  // Below one chunk it is the plain serial loop.
+  real serial = 0.0;
+  for (std::int64_t i = 0; i < kParallelGrain - 1; ++i) serial += f(i);
+  EXPECT_EQ(parallel_sum(kParallelGrain - 1, f), serial);
+}
+
+// The budget caps a loop that asks for more threads than it holds, on
+// every thread of the process.
+TEST(Parallel, ThreadRequestsAreCappedByTheBudget) {
+  BudgetGuard guard;
+  set_num_threads(1);
+  const auto widest_team = [] {
+    std::vector<int> seen(8, 0);
+    parallel_for_threads(8, 4, [&](std::int64_t i) {
+      seen[static_cast<std::size_t>(i)] = team_size();
+    });
+    return *std::max_element(seen.begin(), seen.end());
+  };
+  EXPECT_EQ(widest_team(), 1);
+  int on_other_thread = 0;
+  std::thread([&] { on_other_thread = widest_team(); }).join();
+  EXPECT_EQ(on_other_thread, 1);
+}
+
+// No helper opens a team of more than one thread inside an active team,
+// even where the OpenMP runtime would allow nesting: each item of an
+// item-level loop runs its chunked loops on one thread.
+TEST(Parallel, NoTeamOpensInsideAnActiveTeam) {
+  BudgetGuard guard;
+  set_num_threads(4);
+#ifdef MBQ_HAS_OPENMP
+  const int saved_levels = omp_get_max_active_levels();
+  omp_set_max_active_levels(2);
+#endif
+  constexpr std::size_t kItems = 4;
+  std::vector<int> outer(kItems, 0);
+  std::vector<std::vector<int>> chunked(kItems), grained(kItems);
+  parallel_for_grain(kItems, 1, [&](std::int64_t i) {
+    const auto item = static_cast<std::size_t>(i);
+    outer[item] = team_size();
+    chunked[item].assign(8, 0);
+    parallel_for_threads(8, 4, [&](std::int64_t c) {
+      chunked[item][static_cast<std::size_t>(c)] = team_size();
+    });
+    grained[item].assign(static_cast<std::size_t>(kParallelGrain), 0);
+    parallel_for(kParallelGrain, [&](std::int64_t j) {
+      grained[item][static_cast<std::size_t>(j)] = team_size();
+    });
+  });
+#ifdef MBQ_HAS_OPENMP
+  omp_set_max_active_levels(saved_levels);
+#endif
+  for (std::size_t item = 0; item < kItems; ++item) {
+    if (has_openmp()) {
+      EXPECT_GT(outer[item], 1) << "the items ran serially";
+    }
+    for (const int t : chunked[item]) EXPECT_EQ(t, 1) << "item " << item;
+    for (const int t : grained[item]) ASSERT_EQ(t, 1) << "item " << item;
+  }
 }
 
 TEST(Parallel, ForCoversAllIndices) {

@@ -21,7 +21,6 @@
 #include "mbq/mbqc/compiled.h"
 #include "mbq/mbqc/runner.h"
 #include "mbq/qaoa/qaoa.h"
-#include "mbq/sim/collapse_threaded.h"
 
 // --- global allocation counter ----------------------------------------
 // Replaces the global operator new/delete for THIS test binary so the
@@ -373,13 +372,13 @@ TEST(CompiledPattern, SteadyStateShotLoopAllocatesNothing) {
 }
 
 TEST(CompiledPattern, SteadyStateShotLoopAllocatesNothingWithThreads) {
-  // Same contract with the kernel thread knob engaged: the knob must
-  // not cost the shot loop its zero-allocation property.
+  // Same contract with a two-thread budget: threads must not cost the
+  // shot loop its zero-allocation property.
   struct ThreadGuard {
-    int saved = thr::kernel_threads();
-    ~ThreadGuard() { thr::set_kernel_threads(saved); }
+    int saved = num_threads();
+    ~ThreadGuard() { set_num_threads(saved); }
   } guard;
-  thr::set_kernel_threads(2);
+  set_num_threads(2);
   Rng rng(31);
   const qaoa::Angles angles = qaoa::Angles::random(2, rng);
   const auto cost = qaoa::CostHamiltonian::maxcut(cycle_graph(6));
@@ -403,10 +402,10 @@ TEST(CompiledPattern, ChunkedThreadedSweepsAllocateNothingInSteadyState) {
   // malloc, not operator new, and are deliberately outside this
   // counter; the contract here is about OUR per-sweep buffers.)
   struct ThreadGuard {
-    int saved = thr::kernel_threads();
-    ~ThreadGuard() { thr::set_kernel_threads(saved); }
+    int saved = num_threads();
+    ~ThreadGuard() { set_num_threads(saved); }
   } guard;
-  thr::set_kernel_threads(2);
+  set_num_threads(2);
   DynamicStatevector dsv;
   for (int w = 0; w < 15; ++w) dsv.add_wire(w);
   const std::uint64_t masks[2] = {0b11, (std::uint64_t{1} << 14) | 0b100};

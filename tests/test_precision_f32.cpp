@@ -18,13 +18,13 @@
 #include "mbq/api/workload.h"
 #include "mbq/api/workload_spec.h"
 #include "mbq/common/error.h"
+#include "mbq/common/parallel.h"
 #include "mbq/common/rng.h"
 #include "mbq/core/compiler.h"
 #include "mbq/graph/generators.h"
 #include "mbq/mbqc/runner.h"
 #include "mbq/qaoa/qaoa.h"
 #include "mbq/sim/collapse_kernels.h"
-#include "mbq/sim/collapse_threaded.h"
 #include "mbq/sim/dynamic_statevector.h"
 #include "mbq/speccomp/json.h"
 
@@ -61,8 +61,8 @@ struct IsaGuard {
 
 struct ThreadGuard {
   int saved;
-  ThreadGuard() : saved(thr::kernel_threads()) {}
-  ~ThreadGuard() { thr::set_kernel_threads(saved); }
+  ThreadGuard() : saved(num_threads()) {}
+  ~ThreadGuard() { set_num_threads(saved); }
 };
 
 // --- the f32 kernel tables ---------------------------------------------
@@ -93,7 +93,7 @@ struct ScriptResult {
 ScriptResult run_script(Precision p, SimdIsa isa, int threads,
                         std::uint64_t seed, int wires) {
   force_simd_isa(isa);
-  thr::set_kernel_threads(threads);
+  set_num_threads(threads);
   DynamicStatevector dsv(p);
   EXPECT_EQ(dsv.precision(), p);
   Rng rng(seed);
@@ -328,15 +328,6 @@ TEST(PrecisionF32, ShardedSamplingMatchesInProcessOnF32) {
   ASSERT_EQ(r1.shots.size(), r2.shots.size());
   for (std::size_t i = 0; i < r1.shots.size(); ++i)
     ASSERT_EQ(r1.shots[i].x, r2.shots[i].x) << "shot " << i;
-}
-
-TEST(PrecisionF32, SessionKernelThreadsKnobRoutesToTheDrivers) {
-  ThreadGuard guard;
-  api::SessionOptions options;
-  options.kernel_threads = 2;
-  api::Session session(api::Workload::maxcut(cycle_graph(4)), "mbqc",
-                       options);
-  EXPECT_EQ(thr::kernel_threads(), 2);
 }
 
 }  // namespace

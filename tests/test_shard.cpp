@@ -358,20 +358,42 @@ TEST(ShardSession, SampleBatchInvariantAcrossProcessCounts) {
 }
 
 TEST(ShardSession, ExpectationBatchInvariantAcrossProcessCounts) {
-  for (const char* backend : {"mbqc", "statevector"}) {
-    const Workload w = Workload::maxcut(cycle_graph(4));
-    const std::vector<Angles> points = random_points(7, 2, 5);
+  // The n = 14 statevector input folds <C> over 2^14 entries and caches
+  // its first point before the batch: in-process, that point's value
+  // comes from a lone expectation() on the whole thread budget and the
+  // other from a lone prepare, while each worker folds both on one
+  // thread.
+  Rng graph_rng(14);
+  const Workload small = Workload::maxcut(cycle_graph(4));
+  const Workload large =
+      Workload::maxcut(random_regular_graph(14, 3, graph_rng));
+  const struct {
+    const char* backend;
+    const Workload& workload;
+    std::vector<Angles> points;
+    bool cache_first;
+  } inputs[] = {
+      {"mbqc", small, random_points(7, 2, 5), false},
+      {"statevector", small, random_points(7, 2, 5), false},
+      {"statevector", large, random_points(2, 1, 8), true},
+  };
 
-    Session reference(w, backend, sharded_options(42, 1));
-    const std::vector<real> want = reference.expectation_batch(points);
+  for (const auto& in : inputs) {
+    const auto batch = [&](Session& session) {
+      if (in.cache_first) session.expectation(in.points[0]);
+      return session.expectation_batch(in.points);
+    };
+    Session reference(in.workload, in.backend, sharded_options(42, 1));
+    const std::vector<real> want = batch(reference);
 
     for (const int processes : {2, 4}) {
-      Session session(w, backend, sharded_options(42, processes));
-      const std::vector<real> got = session.expectation_batch(points);
-      ASSERT_EQ(session.shard_workers(), processes) << backend;
+      Session session(in.workload, in.backend,
+                      sharded_options(42, processes));
+      const std::vector<real> got = batch(session);
+      ASSERT_EQ(session.shard_workers(), processes) << in.backend;
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < want.size(); ++i)
-        EXPECT_EQ(got[i], want[i]) << backend << " point " << i;
+        EXPECT_EQ(got[i], want[i]) << in.backend << " point " << i;
     }
   }
 }

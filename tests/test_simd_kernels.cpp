@@ -13,6 +13,7 @@
 
 #include "mbq/common/cpu.h"
 #include "mbq/common/error.h"
+#include "mbq/common/parallel.h"
 #include "mbq/common/rng.h"
 #include "mbq/core/compiler.h"
 #include "mbq/graph/generators.h"
@@ -402,50 +403,20 @@ TEST(SimdKernels, RandomizedRangedKernelsMatchScalarBitwise) {
 
 // --- chunked / threaded drivers ----------------------------------------
 
-/// Restores the process-global kernel thread count no matter how a test
-/// exits (0 = re-resolve from the environment on next use).
+/// Restores the thread budget no matter how a test exits.
 struct ThreadGuard {
   int saved;
-  ThreadGuard() : saved(thr::kernel_threads()) {}
-  ~ThreadGuard() { thr::set_kernel_threads(saved); }
+  ThreadGuard() : saved(num_threads()) {}
+  ~ThreadGuard() { set_num_threads(saved); }
 };
-
-TEST(SimdKernels, KernelThreadsKnobResolvesOverrideAndEnv) {
-  ThreadGuard guard;
-  const char* old = std::getenv("MBQ_KERNEL_THREADS");
-  const std::string saved = old ? old : "";
-
-  thr::set_kernel_threads(3);
-  EXPECT_EQ(thr::kernel_threads(), 3);
-
-  ::setenv("MBQ_KERNEL_THREADS", "5", 1);
-  thr::set_kernel_threads(0);  // back to env resolution
-  EXPECT_EQ(thr::kernel_threads(), 5);
-
-  ::setenv("MBQ_KERNEL_THREADS", "auto", 1);
-  thr::set_kernel_threads(0);
-  EXPECT_GE(thr::kernel_threads(), 1);
-
-  for (const char* bad : {"0", "-2", "4097", "two", "2x"}) {
-    ::setenv("MBQ_KERNEL_THREADS", bad, 1);
-    thr::set_kernel_threads(0);
-    EXPECT_THROW(thr::kernel_threads(), Error) << bad;
-  }
-
-  // An explicit override wins without consulting the (invalid) env.
-  thr::set_kernel_threads(2);
-  EXPECT_EQ(thr::kernel_threads(), 2);
-
-  if (old)
-    ::setenv("MBQ_KERNEL_THREADS", saved.c_str(), 1);
-  else
-    ::unsetenv("MBQ_KERNEL_THREADS");
-}
 
 // Every thr:: driver at the chunk cutoff, for every host flavor, at
 // thread counts {1, 2, 8}: bit-identical to the scalar single-threaded
 // leg.  This is the public-API face of the dispatch-time driver battery.
 TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
+  // The budget caps every team: raise it so t = 8 really runs 8 threads.
+  ThreadGuard guard;
+  set_num_threads(8);
   constexpr std::uint64_t dim = thr::kChunkCutoffDim;
   Rng rng(77);
   const auto x = random_amps(rng, 2 * dim);
@@ -528,7 +499,7 @@ TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
 // bit-for-bit — the large-n face of the determinism contract.
 ScriptResult run_big_script(SimdIsa isa, int threads, std::uint64_t seed) {
   force_simd_isa(isa);
-  thr::set_kernel_threads(threads);
+  set_num_threads(threads);
   DynamicStatevector dsv;
   Rng rng(seed);
   for (int w = 0; w < 15; ++w) dsv.add_wire(w);

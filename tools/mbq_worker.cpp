@@ -26,7 +26,6 @@
 #include "mbq/common/parallel.h"
 #include "mbq/shard/protocol.h"
 #include "mbq/shard/task.h"
-#include "mbq/sim/collapse_threaded.h"
 #include "mbq/speccomp/json.h"
 
 namespace {
@@ -81,9 +80,9 @@ int main(int argc, char** argv) {
 
   // One thread per worker: the fleet keys its size to the cores it may
   // use, and an OpenMP team in every child — over shots or inside the
-  // chunked kernels — would oversubscribe the box.
+  // chunked kernels — would oversubscribe the box.  The budget caps
+  // every team (common/parallel.h), the kernel self-check's included.
   set_num_threads(1);
-  thr::set_kernel_threads(1);
 
   try {
     while (true) {

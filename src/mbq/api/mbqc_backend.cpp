@@ -81,14 +81,18 @@ real MbqcBackend::expectation(const Workload& w, const qaoa::Angles& a,
   // value is a stochastic estimate — deterministic in the rng stream,
   // but no longer the exact noiseless <C>).  In classical mode the X
   // byproducts permute basis states, so <C> is computed on the corrected
-  // distribution by folding the flip mask into the cost argument.
+  // distribution by folding the flip mask into the cost-table index.  The
+  // table's entries equal cost().evaluate(x) bit for bit (constant first,
+  // then each term in canonical order).
   const mbqc::RunResult r =
       mbqc::thread_local_executor(executable_of(prep), exec_options_for(w))
           .run(rng);
   const std::uint64_t flip = byproduct_flips(cp, w.num_qubits(), r.outcomes);
+  const auto table = w.cost_table();
+  MBQ_ASSERT(r.output_state.size() == table->size());
   real acc = 0.0;
   for (std::uint64_t x = 0; x < r.output_state.size(); ++x)
-    acc += std::norm(r.output_state[x]) * w.cost().evaluate(x ^ flip);
+    acc += std::norm(r.output_state[x]) * (*table)[x ^ flip];
   return acc;
 }
 

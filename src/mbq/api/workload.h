@@ -167,7 +167,13 @@ class Workload {
   Workload& with_spec_compile(const speccomp::SpecCompileOptions& options);
 
   /// Full cost table c(x), x in [0, 2^n), built on first use (safe to
-  /// race) and shared across copies of this workload.
+  /// race) and shared across copies of this workload.  Entries equal
+  /// cost().evaluate(x) bit for bit.  Read by the statevector and zx
+  /// backends, by the mbqc backends' expectation() (<C> folds over it),
+  /// and by the bench scorer (bench::best_cost).  Sampling on mbqc never
+  /// builds it: Session scores shots with cost().evaluate().  The table
+  /// holds 2^n doubles, so once an mbqc expectation has run at n = 24
+  /// the workload holds 128 MiB.
   std::shared_ptr<const std::vector<real>> cost_table() const;
 
   /// Gate-model reference state at the given angles (each ansatz kind

@@ -14,6 +14,7 @@
 #include <numeric>
 
 #include "mbq/api/api.h"
+#include "mbq/api/prepared.h"
 #include "mbq/common/parallel.h"
 #include "mbq/common/rng.h"
 #include "mbq/graph/generators.h"
@@ -102,6 +103,63 @@ TEST(BackendEquivalence, AllBackendsAgreeOnExpectation) {
       }
     }
   }
+}
+
+TEST(BackendEquivalence, MbqcExpectationIsBitIdenticalToEvaluateFold) {
+  // mbqc's <C> folds |amp|^2 over the workload's cost table.  Replaying
+  // the same run on an equal rng stream and folding per-amplitude
+  // cost().evaluate() must give the same double, not one within 1e-9.
+  Rng gen(43);
+  const int sk_n = 13;  // 2^13 >= kParallelGrain: a team builds the table
+  static_assert((std::int64_t{1} << sk_n) >= kParallelGrain);
+  const Graph sk = complete_graph(sk_n);
+  std::vector<real> sk_weights(sk.num_edges());
+  for (real& s : sk_weights) s = gen.coin() ? 1.0 : -1.0;
+  std::vector<real> linear(6);
+  for (real& l : linear) l = gen.uniform(-1.0, 1.0);
+  const Graph ring = cycle_graph(6);
+  std::vector<std::pair<Edge, real>> quad;
+  for (const Edge& e : ring.edges())
+    quad.push_back({e, gen.uniform(-1.0, 1.0)});
+  const std::vector<qaoa::PuboTerm> pubo = {
+      {0.7, {0, 1, 2}}, {-0.4, {2, 3, 4}}, {0.3, {1, 4}}, {0.5, {0}}};
+  const std::vector<std::pair<const char*, Workload>> cases = {
+      {"sk n=13", Workload::maxcut_weighted(sk, sk_weights)},
+      {"qubo", Workload::qaoa(CostHamiltonian::qubo(6, linear, quad, 0.37))},
+      {"pubo order 3", Workload::pubo(5, pubo, -0.2)},
+      {"f32", Workload::maxcut(cycle_graph(6)).with_precision(Precision::F32)},
+      {"noisy", Workload::maxcut(cycle_graph(5)).with_entangler_noise(0.05)},
+  };
+  int classical_flips = 0;
+  for (const auto& [label, w] : cases) {
+    const Angles a = Angles::random(2, gen);
+    for (const char* name : {"mbqc", "mbqc-classical"}) {
+      const auto backend = BackendRegistry::instance().create(name);
+      const auto prep = backend->prepare(w, a);
+      const std::uint64_t seed = gen.uniform_index(1u << 30);
+      Rng rng(seed);
+      const real got = backend->expectation(w, a, rng, prep.get());
+
+      mbqc::ExecOptions opts;
+      opts.entangler_noise = w.entangler_noise();
+      opts.precision = w.precision();
+      Rng replay(seed);
+      const mbqc::RunResult r =
+          mbqc::thread_local_executor(executable_of(prep.get()), opts)
+              .run(replay);
+      const core::CompiledPattern& cp = pattern_of(prep.get());
+      std::uint64_t flip = 0;
+      for (int q = 0; q < w.num_qubits(); ++q)
+        if (!cp.final_fx[q].empty() && cp.final_fx[q].evaluate(r.outcomes))
+          flip |= std::uint64_t{1} << q;
+      real want = 0.0;
+      for (std::uint64_t x = 0; x < r.output_state.size(); ++x)
+        want += std::norm(r.output_state[x]) * w.cost().evaluate(x ^ flip);
+      EXPECT_EQ(got, want) << label << " on " << name;
+      if (std::string(name) == "mbqc-classical") classical_flips += flip != 0;
+    }
+  }
+  EXPECT_GT(classical_flips, 0);  // the x ^ flip index is exercised
 }
 
 TEST(BackendEquivalence, CliffordAnglesRunOnAllBackends) {

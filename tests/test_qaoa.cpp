@@ -52,12 +52,39 @@ TEST(Hamiltonian, TermMergingAndCancellation) {
 }
 
 TEST(Hamiltonian, CostTableMatchesEvaluate) {
+  // Bit-exact on every x: consumers fold <C> over the table in place of
+  // per-x evaluate() and promise the same double.  n = 13 puts the table
+  // above kParallelGrain, so a real thread team builds it.
   Rng rng(1);
-  const Graph g = random_gnm_graph(6, 9, rng);
-  const CostHamiltonian c = CostHamiltonian::maxcut(g);
-  const auto table = c.cost_table();
-  for (std::uint64_t x = 0; x < table.size(); x += 7)
-    EXPECT_NEAR(table[x], c.evaluate(x), kTol);
+  std::vector<std::pair<const char*, CostHamiltonian>> cases;
+  cases.emplace_back("maxcut n=6",
+                     CostHamiltonian::maxcut(random_gnm_graph(6, 9, rng)));
+  const int n = 13;
+  const Graph g = random_gnm_graph(n, 2 * n, rng);
+  std::vector<real> weights(g.num_edges());
+  for (real& w : weights) w = rng.uniform(0.1, 2.0);
+  cases.emplace_back("weighted maxcut",
+                     CostHamiltonian::maxcut_weighted(g, weights));
+  std::vector<real> linear(n);
+  for (real& l : linear) l = rng.uniform(-1.0, 1.0);
+  std::vector<std::pair<Edge, real>> quad;
+  for (const Edge& e : g.edges()) quad.push_back({e, rng.uniform(-1.0, 1.0)});
+  cases.emplace_back("qubo", CostHamiltonian::qubo(n, linear, quad, 0.37));
+  std::vector<PuboTerm> monomials;
+  for (int t = 0; t < 12; ++t) {
+    const std::vector<int> vars = {t, (t + 3) % n, (t + 7) % n};
+    monomials.push_back(
+        {rng.uniform(-1.0, 1.0), {vars.begin(), vars.begin() + 1 + t % 3}});
+  }
+  cases.emplace_back("pubo", CostHamiltonian::pubo(n, monomials, -0.21));
+  for (const auto& [name, c] : cases) {
+    const auto table = c.cost_table();
+    ASSERT_EQ(table.size(), std::size_t{1} << c.num_qubits()) << name;
+    for (std::uint64_t x = 0; x < table.size(); ++x)
+      ASSERT_EQ(table[x], c.evaluate(x)) << name << " x=" << x;
+  }
+  EXPECT_EQ(cases.back().second.max_order(), 3);
+  EXPECT_TRUE(cases[2].second.has_linear_terms());
 }
 
 TEST(Hamiltonian, PenalizedMis) {

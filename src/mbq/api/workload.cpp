@@ -7,6 +7,21 @@
 
 namespace mbq::api {
 
+Workload::Workload(WorkloadSpec spec) : spec_(std::move(spec)) {
+  if (spec_.kind != AnsatzKind::Registered) return;
+  const AnsatzKindHooks hooks =
+      AnsatzKindRegistry::instance().hooks(spec_.registered_name);
+  qaoa::ParamCircuit built = hooks.build(spec_);
+  MBQ_REQUIRE(built.num_qubits() == num_qubits(),
+              "registered ansatz '" << spec_.registered_name
+                                    << "' built a circuit on "
+                                    << built.num_qubits()
+                                    << " qubits, cost acts on "
+                                    << num_qubits());
+  registered_circuit_ =
+      std::make_shared<const qaoa::ParamCircuit>(std::move(built));
+}
+
 Workload Workload::qaoa(qaoa::CostHamiltonian cost) {
   WorkloadSpec spec;
   spec.cost = std::move(cost);
@@ -119,7 +134,6 @@ const qaoa::ParamCircuit& Workload::param_circuit() const {
 
 Workload& Workload::with_linear_style(core::LinearTermStyle style) {
   spec_.linear_style = style;
-  lower();
   return *this;
 }
 
@@ -127,7 +141,6 @@ Workload& Workload::with_max_wire_degree(int degree) {
   MBQ_REQUIRE(degree == 0 || degree >= 3,
               "max_wire_degree must be 0 (unlimited) or >= 3, got " << degree);
   spec_.max_wire_degree = degree;
-  lower();
   return *this;
 }
 
@@ -135,7 +148,6 @@ Workload& Workload::with_entangler_noise(real probability) {
   MBQ_REQUIRE(probability >= 0.0 && probability <= 1.0,
               "entangler noise probability out of range: " << probability);
   spec_.entangler_noise = probability;
-  lower();
   return *this;
 }
 
@@ -144,34 +156,7 @@ Workload& Workload::with_precision(Precision p) {
   MBQ_REQUIRE(v <= static_cast<std::uint8_t>(Precision::F32),
               "invalid precision " << int{v});
   spec_.precision = p;
-  lower();
   return *this;
-}
-
-Workload& Workload::with_spec_compile(
-    const speccomp::SpecCompileOptions& options) {
-  spec_opt_ = options;
-  lower();
-  return *this;
-}
-
-void Workload::lower() {
-  lowered_ = std::make_shared<const speccomp::CompiledSpec>(
-      speccomp::compile_spec(spec_, spec_opt_));
-  if (spec_.kind != AnsatzKind::Registered) return;
-  // Built from the RAW spec (the passes never touch the registered
-  // payload), through the registry's build hook.
-  const AnsatzKindHooks hooks =
-      AnsatzKindRegistry::instance().hooks(spec_.registered_name);
-  qaoa::ParamCircuit built = hooks.build(spec_);
-  MBQ_REQUIRE(built.num_qubits() == num_qubits(),
-              "registered ansatz '" << spec_.registered_name
-                                    << "' built a circuit on "
-                                    << built.num_qubits()
-                                    << " qubits, cost acts on "
-                                    << num_qubits());
-  registered_circuit_ =
-      std::make_shared<const qaoa::ParamCircuit>(std::move(built));
 }
 
 core::CompileOptions Workload::compile_options(bool final_corrections) const {
@@ -179,7 +164,6 @@ core::CompileOptions Workload::compile_options(bool final_corrections) const {
   o.linear_style = spec_.linear_style;
   o.final_corrections = final_corrections;
   o.max_wire_degree = spec_.max_wire_degree;
-  o.hints = lowered().hints;
   return o;
 }
 
@@ -192,27 +176,24 @@ std::shared_ptr<const std::vector<real>> Workload::cost_table() const {
 }
 
 Statevector Workload::reference_state(const qaoa::Angles& a) const {
-  // Lower from the optimized spec; the default pass set guarantees the
-  // result is bit-identical to lowering the raw one.
-  const WorkloadSpec& low = lowered().spec;
-  switch (low.kind) {
+  switch (spec_.kind) {
     case AnsatzKind::QaoaDiagonal: {
       const auto table = cost_table();
-      return qaoa::qaoa_state(low.cost, a, table.get());
+      return qaoa::qaoa_state(spec_.cost, a, table.get());
     }
     case AnsatzKind::MisConstrained: {
       Statevector sv(num_qubits());  // feasible start |0...0>
       const Circuit c =
-          low.vertex_weights.empty()
-              ? qaoa::mis_qaoa_circuit(*low.graph, a)
-              : qaoa::mis_qaoa_circuit_weighted(*low.graph,
-                                                low.vertex_weights, a);
+          spec_.vertex_weights.empty()
+              ? qaoa::mis_qaoa_circuit(*spec_.graph, a)
+              : qaoa::mis_qaoa_circuit_weighted(*spec_.graph,
+                                                spec_.vertex_weights, a);
       c.apply_to(sv);
       return sv;
     }
     case AnsatzKind::ParamCircuit: {
       Statevector sv = Statevector::all_plus(num_qubits());
-      low.circuit->instantiate(a).apply_to(sv);
+      spec_.circuit->instantiate(a).apply_to(sv);
       return sv;
     }
     case AnsatzKind::Registered: {
@@ -232,17 +213,16 @@ Statevector Workload::reference_state(const qaoa::Angles& a) const {
 core::CompiledPattern Workload::compile_pattern(const qaoa::Angles& a,
                                                 bool final_corrections) const {
   const core::CompileOptions options = compile_options(final_corrections);
-  const WorkloadSpec& low = lowered().spec;
-  switch (low.kind) {
+  switch (spec_.kind) {
     case AnsatzKind::QaoaDiagonal:
-      return core::compile_qaoa(low.cost, a, options);
+      return core::compile_qaoa(spec_.cost, a, options);
     case AnsatzKind::MisConstrained:
-      return low.vertex_weights.empty()
-                 ? core::compile_mis_qaoa(*low.graph, a, options)
+      return spec_.vertex_weights.empty()
+                 ? core::compile_mis_qaoa(*spec_.graph, a, options)
                  : core::compile_mis_qaoa_weighted(
-                       *low.graph, low.vertex_weights, a, options);
+                       *spec_.graph, spec_.vertex_weights, a, options);
     case AnsatzKind::ParamCircuit:
-      return core::compile_circuit_tailored(low.circuit->instantiate(a),
+      return core::compile_circuit_tailored(spec_.circuit->instantiate(a),
                                             options);
     case AnsatzKind::Registered:
       return core::compile_circuit_tailored(

@@ -36,17 +36,14 @@
 //                    closure cannot cross a process boundary, so custom
 //                    workloads are the ONLY kind that cannot shard.
 //
-// Lowering runs through the spec compiler (speccomp/speccomp.h):
-// lowered() holds the optimized spec + scheduling hints the backends
-// consume, while spec() stays the raw description — fingerprints, the
-// prepare caches, and every wire format key on the PRE-optimization
-// bytes, so optimization is a per-host lowering detail.
+// reference_state and compile_pattern lower straight from spec(), the
+// same bytes the fingerprints, the prepare caches and every wire format
+// key on.
 //
 // Thread safety: every const method may run concurrently on one
-// Workload (Session prepares batch points in parallel).  The lowering
-// and a Registered kind's circuit are computed eagerly whenever the
-// workload is built or a with_* setter changes it; the 2^n cost table
-// stays lazy behind std::call_once.
+// Workload (Session prepares batch points in parallel).  A Registered
+// kind's circuit is built once, when the workload is; the 2^n cost
+// table stays lazy behind std::call_once.
 
 #include <functional>
 #include <memory>
@@ -56,7 +53,6 @@
 
 #include "mbq/api/workload_spec.h"
 #include "mbq/circuit/circuit.h"
-#include "mbq/speccomp/speccomp.h"
 #include "mbq/core/compiler.h"
 #include "mbq/graph/graph.h"
 #include "mbq/qaoa/hamiltonian.h"
@@ -153,18 +149,9 @@ class Workload {
 
   core::CompileOptions compile_options(bool final_corrections) const;
 
-  /// The spec-compiler output this workload lowers from (computed when
-  /// the workload is built or reconfigured, shared across copies).
-  /// reference_state/compile_pattern consume lowered().spec and
-  /// lowered().hints; spec(), the fingerprints, and the shard/serve wire
-  /// formats always use the raw spec, so equal raw specs stay equal on
-  /// the wire however each host optimizes.
-  const speccomp::CompiledSpec& lowered() const noexcept { return *lowered_; }
-
-  /// Override the spec-compiler pass set for this workload (default:
-  /// SpecCompileOptions::from_env(), i.e. MBQ_SPEC_OPT or the standard
-  /// bit-neutral set).  Chainable; re-lowers the workload.
-  Workload& with_spec_compile(const speccomp::SpecCompileOptions& options);
+  /// Same as spec(): a workload lowers straight from its spec.  Kept for
+  /// perfbench/mbq_perf.cpp, which still times it as a layer.
+  const WorkloadSpec& lowered() const noexcept { return spec_; }
 
   /// Full cost table c(x), x in [0, 2^n), built on first use (safe to
   /// race) and shared across copies of this workload.  Entries equal
@@ -188,10 +175,8 @@ class Workload {
                                         bool final_corrections) const;
 
  private:
-  explicit Workload(WorkloadSpec spec) : spec_(std::move(spec)) { lower(); }
-
-  /// Recompute lowered_ and registered_circuit_ from spec_ and spec_opt_.
-  void lower();
+  /// Builds a Registered kind's circuit from the spec.
+  explicit Workload(WorkloadSpec spec);
 
   struct CostTable {
     std::once_flag once;
@@ -200,9 +185,6 @@ class Workload {
 
   WorkloadSpec spec_;
   CircuitBuilder circuit_;  // CustomCircuit escape hatch only
-  speccomp::SpecCompileOptions spec_opt_ =
-      speccomp::SpecCompileOptions::from_env();
-  std::shared_ptr<const speccomp::CompiledSpec> lowered_;
   // Built circuit of a Registered ansatz (null for other kinds).
   std::shared_ptr<const qaoa::ParamCircuit> registered_circuit_;
   // cost_table()'s memo; copies share it, and no setter changes the cost.

@@ -1,4 +1,4 @@
-#include "mbq/speccomp/json.h"
+#include "mbq/api/workload_spec_json.h"
 
 #include <cmath>
 #include <sstream>
@@ -7,7 +7,7 @@
 #include "mbq/common/error.h"
 #include "mbq/common/json.h"
 
-namespace mbq::speccomp {
+namespace mbq::api {
 
 namespace {
 
@@ -311,4 +311,4 @@ api::WorkloadSpec spec_from_json(const std::string& text) {
   return spec;
 }
 
-}  // namespace mbq::speccomp
+}  // namespace mbq::api

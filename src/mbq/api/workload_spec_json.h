@@ -23,7 +23,7 @@
 
 #include "mbq/api/workload_spec.h"
 
-namespace mbq::speccomp {
+namespace mbq::api {
 
 /// Canonical JSON text for a serializable spec (ends with '\n').
 /// Throws Error for CustomCircuit specs.
@@ -35,4 +35,4 @@ std::string spec_to_json(const api::WorkloadSpec& spec);
 /// round-trips the binary codec bit-exactly.
 api::WorkloadSpec spec_from_json(const std::string& text);
 
-}  // namespace mbq::speccomp
+}  // namespace mbq::api

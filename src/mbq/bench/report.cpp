@@ -13,7 +13,7 @@ namespace mbq::bench {
 namespace {
 
 // All reading/writing machinery lives in common/json.h, shared with the
-// speccomp JSON spec codec.
+// JSON spec codec (api/workload_spec_json.cpp).
 using json::field;
 using json::json_double;
 using json::json_escape;

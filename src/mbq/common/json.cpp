@@ -42,6 +42,12 @@ const JsonObject& JsonValue::object() const {
 
 namespace {
 
+bool is_hex(const std::string& s) {
+  for (const char c : s)
+    if (!std::isxdigit(static_cast<unsigned char>(c))) return false;
+  return true;
+}
+
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text) : text_(text) {}
@@ -114,10 +120,18 @@ class JsonParser {
         case 'n': out += '\n'; break;
         case 't': out += '\t'; break;
         case 'u': {
+          // Four hex digits naming an ASCII code point: json_escape emits
+          // this escape only for control bytes, and UTF-8 passes raw.
           MBQ_REQUIRE(pos_ + 4 <= text_.size(), "JSON: truncated \\u escape");
           const std::string hex = text_.substr(pos_, 4);
+          MBQ_REQUIRE(is_hex(hex), "JSON: bad \\u escape '\\u"
+                                       << hex << "' at byte " << pos_);
+          const unsigned long code = std::strtoul(hex.c_str(), nullptr, 16);
+          MBQ_REQUIRE(code <= 0x7F, "JSON: \\u escape '\\u"
+                                        << hex << "' at byte " << pos_
+                                        << " is not ASCII");
           pos_ += 4;
-          out += static_cast<char>(std::strtoul(hex.c_str(), nullptr, 16));
+          out += static_cast<char>(code);
           break;
         }
         default:
@@ -261,14 +275,12 @@ real read_real(const JsonValue& v) {
 }
 
 std::uint64_t read_hex64(const JsonValue& v) {
+  // Exactly json_hex64's form: "0x" and 16 hex digits (strtoull alone
+  // would also take a sign, leading spaces and more digits).
   const std::string& s = v.str();
-  MBQ_REQUIRE(s.size() > 2 && s[0] == '0' && s[1] == 'x',
-              "JSON: '" << s << "' is not a 0x hex string");
-  char* end = nullptr;
-  const std::uint64_t out = std::strtoull(s.c_str() + 2, &end, 16);
-  MBQ_REQUIRE(end == s.c_str() + s.size(),
-              "JSON: bad hex string '" << s << "'");
-  return out;
+  MBQ_REQUIRE(s.size() == 18 && s.starts_with("0x") && is_hex(s.substr(2)),
+              "JSON: '" << s << "' is not a 0x string of 16 hex digits");
+  return std::strtoull(s.c_str() + 2, nullptr, 16);
 }
 
 std::uint64_t read_u64(const JsonValue& v) {

@@ -1,6 +1,7 @@
 #pragma once
 // Minimal in-house JSON: a strict recursive-descent reader plus the
-// writer helpers our emitters share (bench/report.cpp, speccomp/json.cpp).
+// writer helpers our emitters share (bench/report.cpp,
+// api/workload_spec_json.cpp).
 //
 // The reader parses exactly the subset our writers emit (objects,
 // arrays, strings, numbers, booleans, null) — enough to read our own

@@ -10,20 +10,15 @@ namespace {
 /// YZ phase gadgets and XY J-steps.
 class GadgetCompiler {
  public:
-  GadgetCompiler(mbqc::Pattern& p, int n, int max_wire_degree = 0,
-                 const mbqc::ScheduleHints& hints = {})
-      : p_(p), max_degree_(max_wire_degree), defer_(hints.defer_initial_preps),
-        cur_(n), prepped_(n, !hints.defer_initial_preps), degree_(n, 0),
-        fx_(n), fz_(n) {
+  GadgetCompiler(mbqc::Pattern& p, int n, int max_wire_degree = 0)
+      : p_(p), max_degree_(max_wire_degree), cur_(n), degree_(n, 0), fx_(n),
+        fz_(n) {
     MBQ_REQUIRE(max_degree_ == 0 || max_degree_ >= 3,
                 "max_wire_degree must be 0 (unlimited) or >= 3, got "
                     << max_degree_);
     for (int q = 0; q < n; ++q) {
       cur_[q] = next_wire_++;
-      // |+>^n initial state (Sec. II-C); with the scheduling hint the
-      // prep is deferred to the wire's first entangling use instead, so
-      // untouched wires stay out of the executor's live register.
-      if (!defer_) p_.add_prep(cur_[q]);
+      p_.add_prep(cur_[q]);  // |+>^n initial state (Sec. II-C)
     }
   }
 
@@ -31,13 +26,9 @@ class GadgetCompiler {
   /// Identically-zero angles emit nothing: exp(0) = I contributes no
   /// phase on ANY branch, and the skipped outcome's Z-byproducts drop
   /// with it, so the pattern stays deterministic with one fewer ancilla.
-  /// Unconditional (not gated on spec optimization) — this is what keeps
-  /// optimized specs, whose zero-coefficient terms the canonicalize pass
-  /// already removed, lowering to byte-identical patterns.
   void phase_gadget(const std::vector<int>& support, real theta) {
     if (theta == 0.0) return;
     for (int q : support) reserve_degree(q, 1);
-    for (int q : support) ensure_prepped(q);
     const int a = next_wire_++;
     p_.add_prep(a);
     SignalExpr sign;
@@ -52,7 +43,6 @@ class GadgetCompiler {
 
   /// J(alpha) = H Rz(alpha) on logical qubit q (one Eq. (9) step).
   void j_step(int q, real alpha) {
-    ensure_prepped(q);
     const int a = next_wire_++;
     p_.add_prep(a);
     p_.add_entangle(cur_[q], a);
@@ -89,8 +79,6 @@ class GadgetCompiler {
   void cz(int u, int v) {
     reserve_degree(u, 1);
     reserve_degree(v, 1);
-    ensure_prepped(u);
-    ensure_prepped(v);
     p_.add_entangle(cur_[u], cur_[v]);
     ++degree_[u];
     ++degree_[v];
@@ -100,9 +88,6 @@ class GadgetCompiler {
   }
 
   CompiledPattern finish(bool final_corrections) {
-    // Wires nothing ever touched still exist as |+> outputs.
-    for (std::size_t q = 0; q < cur_.size(); ++q)
-      ensure_prepped(static_cast<int>(q));
     CompiledPattern out;
     for (std::size_t q = 0; q < cur_.size(); ++q) {
       if (final_corrections) {
@@ -121,18 +106,10 @@ class GadgetCompiler {
   }
 
  private:
-  void ensure_prepped(int q) {
-    if (prepped_[q]) return;
-    p_.add_prep(cur_[q]);
-    prepped_[q] = true;
-  }
-
   mbqc::Pattern& p_;
   int max_degree_ = 0;
-  bool defer_ = false;
   int next_wire_ = 0;
   std::vector<int> cur_;
-  std::vector<char> prepped_;
   std::vector<int> degree_;  // CZ edges on each wire's CURRENT qubit
   std::vector<SignalExpr> fx_, fz_;
 };
@@ -145,7 +122,7 @@ CompiledPattern compile_qaoa(const qaoa::CostHamiltonian& cost,
   const int n = cost.num_qubits();
   CompiledPattern out;
   mbqc::Pattern pattern;
-  GadgetCompiler gc(pattern, n, options.max_wire_degree, options.hints);
+  GadgetCompiler gc(pattern, n, options.max_wire_degree);
 
   // Linear coefficients, for the fused-mixer variant.
   std::vector<real> linear(n, 0.0);
@@ -184,8 +161,7 @@ CompiledPattern compile_circuit_tailored(const Circuit& circuit,
   const Circuit c = circuit.expand_controlled_gates();
   CompiledPattern out;
   mbqc::Pattern pattern;
-  GadgetCompiler gc(pattern, c.num_qubits(), options.max_wire_degree,
-                    options.hints);
+  GadgetCompiler gc(pattern, c.num_qubits(), options.max_wire_degree);
 
   for (const Gate& g : c.gates()) {
     switch (g.kind) {

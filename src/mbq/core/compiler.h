@@ -28,7 +28,6 @@
 
 #include "mbq/circuit/circuit.h"
 #include "mbq/mbqc/pattern.h"
-#include "mbq/mbqc/schedule_hints.h"
 #include "mbq/qaoa/hamiltonian.h"
 #include "mbq/qaoa/qaoa.h"
 
@@ -63,10 +62,6 @@ struct CompileOptions {
   /// onto degree-limited hardware graphs (Sec. III, ref [49]).  Costs two
   /// ancillas and two CZ per split; must be >= 3 when set.
   int max_wire_degree = 0;
-  /// Measurement-order scheduling hints from the spec-level compiler
-  /// (speccomp's opt-in "schedule" pass); default-constructed hints are
-  /// a no-op and leave emission byte-identical to hint-free compilation.
-  mbqc::ScheduleHints hints;
 };
 
 struct CompiledPattern {

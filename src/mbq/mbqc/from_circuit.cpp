@@ -8,15 +8,12 @@ namespace {
 
 class Translator {
  public:
-  Translator(Pattern& p, int n, bool plus_inputs, const ScheduleHints& hints)
-      : p_(p), defer_(plus_inputs && hints.defer_initial_preps) {
+  Translator(Pattern& p, int n, bool plus_inputs) : p_(p) {
     cur_.resize(n);
-    prepped_.assign(n, !defer_);
     fx_.resize(n);
     fz_.resize(n);
     for (int q = 0; q < n; ++q) {
       cur_[q] = next_wire_++;
-      if (defer_) continue;  // prep at first use instead
       if (plus_inputs) {
         p_.add_prep(cur_[q]);
       } else {
@@ -27,7 +24,6 @@ class Translator {
 
   /// J(alpha) = H Rz(alpha) on logical qubit q, consuming one ancilla.
   void j(int q, real alpha) {
-    ensure_prepped(q);
     const int a = next_wire_++;
     p_.add_prep(a);
     p_.add_entangle(cur_[q], a);
@@ -39,8 +35,6 @@ class Translator {
   }
 
   void cz(int u, int v) {
-    ensure_prepped(u);
-    ensure_prepped(v);
     p_.add_entangle(cur_[u], cur_[v]);
     // CZ X_u^s = X_u^s Z_v^s CZ (and symmetrically).
     const SignalExpr fxu = fx_[u];
@@ -103,9 +97,6 @@ class Translator {
   }
 
   void finish() {
-    // Untouched wires still exist as |+> outputs.
-    for (std::size_t q = 0; q < cur_.size(); ++q)
-      ensure_prepped(static_cast<int>(q));
     std::vector<int> outs;
     for (std::size_t q = 0; q < cur_.size(); ++q) {
       if (!fx_[q].empty()) p_.add_correct_x(cur_[q], fx_[q]);
@@ -116,27 +107,18 @@ class Translator {
   }
 
  private:
-  void ensure_prepped(int q) {
-    if (prepped_[q]) return;
-    p_.add_prep(cur_[q]);
-    prepped_[q] = true;
-  }
-
   Pattern& p_;
-  bool defer_ = false;
   int next_wire_ = 0;
   std::vector<int> cur_;
-  std::vector<char> prepped_;
   std::vector<SignalExpr> fx_, fz_;
 };
 
 }  // namespace
 
-Pattern pattern_from_circuit(const Circuit& circuit, bool plus_inputs,
-                             const ScheduleHints& hints) {
+Pattern pattern_from_circuit(const Circuit& circuit, bool plus_inputs) {
   const Circuit c = circuit.expand_controlled_gates();
   Pattern p;
-  Translator tr(p, c.num_qubits(), plus_inputs, hints);
+  Translator tr(p, c.num_qubits(), plus_inputs);
   for (const Gate& g : c.gates()) tr.gate(g);
   tr.finish();
   p.validate();

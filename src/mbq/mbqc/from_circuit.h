@@ -18,7 +18,6 @@
 
 #include "mbq/circuit/circuit.h"
 #include "mbq/mbqc/pattern.h"
-#include "mbq/mbqc/schedule_hints.h"
 
 namespace mbq::mbqc {
 
@@ -26,11 +25,6 @@ namespace mbq::mbqc {
 /// plus_inputs == true:  the pattern N-prepares the initial wires, i.e. it
 ///                       computes circuit|+...+> (the QAOA setting).
 /// plus_inputs == false: initial wires are pattern inputs.
-/// With hints.defer_initial_preps (and plus_inputs), each wire's |+> prep
-/// is emitted at its first use instead of upfront, bounding the
-/// executor's peak live width for circuits that touch wires late; input
-/// wires (plus_inputs == false) always stay upfront.
-Pattern pattern_from_circuit(const Circuit& c, bool plus_inputs,
-                             const ScheduleHints& hints = {});
+Pattern pattern_from_circuit(const Circuit& c, bool plus_inputs);
 
 }  // namespace mbq::mbqc

@@ -37,11 +37,7 @@ void CostHamiltonian::add_term(std::vector<int> support, real coeff) {
   // Terms are kept in canonical support order (size, then lexicographic):
   // merging is a binary search instead of a linear scan, and every
   // CostHamiltonian — whichever frontend built it, in whatever order —
-  // stores, evaluates, and ENCODES its terms identically.  The spec
-  // compiler (speccomp) relies on this invariant: canonical ordering is
-  // established at construction, so no pass ever has to reorder terms
-  // (which would perturb float-summation order between optimized and
-  // unoptimized lowerings).
+  // stores, evaluates, and ENCODES its terms identically.
   const auto less = [](const IsingTerm& t, const std::vector<int>& s) {
     return t.support.size() != s.size() ? t.support.size() < s.size()
                                         : t.support < s;
@@ -183,7 +179,7 @@ CostHamiltonian CostHamiltonian::pubo(int n,
   // into 2^16 distinct supports, which would make repeated scans
   // quadratic.  The map is keyed by the SAME canonical (|S|, lex) order
   // add_term maintains, so the direct terms_ writes below preserve the
-  // construction invariant the codec and spec compiler rely on.
+  // construction invariant the codecs rely on.
   const auto canonical_less = [](const std::vector<int>& a,
                                  const std::vector<int>& b) {
     return a.size() != b.size() ? a.size() < b.size() : a < b;

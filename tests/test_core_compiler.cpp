@@ -329,5 +329,33 @@ TEST(Compiler, TailoredBeatsGenericOnDiagonalGates) {
   EXPECT_EQ(tailored.pattern.num_prepared(), 2 + 4);
 }
 
+TEST(Compiler, ExactZeroMergedTermEmitsNothing) {
+  // add_term(s, w) then add_term(s, -w) leaves a term whose coefficient
+  // is exactly 0.0; its gadget angle is 0, and a zero-angle gadget emits
+  // no command at all, so the pattern is the one without the term.
+  const CostHamiltonian without = CostHamiltonian::maxcut(cycle_graph(4));
+  CostHamiltonian with_zero = without;
+  with_zero.add_term({0, 2}, 0.75);
+  with_zero.add_term({0, 2}, -0.75);
+  ASSERT_EQ(with_zero.terms().size(), without.terms().size() + 1);
+  Rng rng(41);
+  const Angles a = Angles::random(2, rng);
+  EXPECT_EQ(compile_qaoa(with_zero, a).pattern.str(),
+            compile_qaoa(without, a).pattern.str());
+}
+
+TEST(Compiler, ZeroAngleDiagonalGatesEmitNothing) {
+  // Rz(q, 0) and a zero-angle PhaseGadget are the identity; the tailored
+  // translation emits nothing for them.
+  Circuit base(3);
+  base.h(0).cz(0, 1).rz(2, 0.4).phase_gadget({0, 1, 2}, 0.7).rx(1, -0.5);
+  Circuit padded(3);
+  padded.h(0).rz(1, 0.0).cz(0, 1).rz(2, 0.4).phase_gadget({0, 2}, 0.0);
+  padded.phase_gadget({0, 1, 2}, 0.7).rx(1, -0.5);
+  ASSERT_EQ(padded.size(), base.size() + 2);
+  EXPECT_EQ(compile_circuit_tailored(padded).pattern.str(),
+            compile_circuit_tailored(base).pattern.str());
+}
+
 }  // namespace
 }  // namespace mbq::core

@@ -17,6 +17,7 @@
 #include "mbq/api/session.h"
 #include "mbq/api/workload.h"
 #include "mbq/api/workload_spec.h"
+#include "mbq/api/workload_spec_json.h"
 #include "mbq/common/error.h"
 #include "mbq/common/parallel.h"
 #include "mbq/common/rng.h"
@@ -26,7 +27,6 @@
 #include "mbq/qaoa/qaoa.h"
 #include "mbq/sim/collapse_kernels.h"
 #include "mbq/sim/dynamic_statevector.h"
-#include "mbq/speccomp/json.h"
 
 namespace mbq {
 namespace {
@@ -205,16 +205,16 @@ TEST(PrecisionF32, SpecCodecAndJsonCarryPrecision) {
             api::spec_fingerprint(w.spec()));
 
   // JSON codec round trip; the field is spelled with the enum name.
-  const std::string json = speccomp::spec_to_json(w.spec());
+  const std::string json = api::spec_to_json(w.spec());
   EXPECT_NE(json.find("\"precision\""), std::string::npos);
   EXPECT_NE(json.find("\"f32\""), std::string::npos);
-  const api::WorkloadSpec parsed = speccomp::spec_from_json(json);
+  const api::WorkloadSpec parsed = api::spec_from_json(json);
   EXPECT_EQ(parsed.precision, Precision::F32);
 
   // A spec without the field (older producer) defaults to f64.
   const std::string json64 =
-      speccomp::spec_to_json(api::Workload::maxcut(cycle_graph(4)).spec());
-  EXPECT_EQ(speccomp::spec_from_json(json64).precision, Precision::F64);
+      api::spec_to_json(api::Workload::maxcut(cycle_graph(4)).spec());
+  EXPECT_EQ(api::spec_from_json(json64).precision, Precision::F64);
 
   EXPECT_STREQ(precision_name(Precision::F64), "f64");
   EXPECT_STREQ(precision_name(Precision::F32), "f32");

@@ -21,7 +21,6 @@
 #include "mbq/mbqc/runner.h"
 #include "mbq/qaoa/qaoa.h"
 #include "mbq/sim/statevector.h"
-#include "mbq/speccomp/speccomp.h"
 #include "mbq/stab/tableau.h"
 #include "mbq/zx/builder.h"
 #include "mbq/zx/tensor_eval.h"
@@ -424,74 +423,6 @@ TEST_P(SpecRoundTripSweep, SerializedSpecExecutesBitIdentically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpecRoundTripSweep,
-                         ::testing::Values(0ULL, 1ULL, 42ULL));
-
-// ---------------------------------------------------------------------
-// Sweep: the spec compiler's default pass set is bit-neutral.  For every
-// backend × seed × process count, a workload lowered with the default
-// passes produces the same outcome stream and expectation, bit for bit,
-// as one lowered with the pipeline off.
-
-class SpecCompilerNeutralitySweep
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SpecCompilerNeutralitySweep, OptimizedMatchesUnoptimizedBitwise) {
-  const std::uint64_t seed = GetParam();
-  // A cost with an exactly cancelled term plus a declarative circuit
-  // with peephole fodder, so the default passes genuinely rewrite the
-  // lowered spec (the neutrality claim is not vacuous).
-  qaoa::CostHamiltonian cost(4, 0.5);
-  cost.add_term({0, 1}, 0.75);
-  cost.add_term({1, 2}, 0.5);
-  cost.add_term({1, 2}, -0.5);  // merges to exact zero: canonicalize drops
-  cost.add_term({2, 3}, -0.25);
-  cost.add_term({3}, 0.5);
-  qaoa::ParamCircuit pc(4);
-  pc.rz(0, qaoa::Param::constant(0.0));  // peephole removes
-  for (const auto& t : cost.terms())
-    if (t.coeff != 0.0)
-      pc.phase_gadget(t.support, qaoa::Param::gamma(0, 2.0 * t.coeff));
-  for (int q = 0; q < 4; ++q) pc.rx(q, qaoa::Param::beta(0, 2.0));
-
-  struct Case {
-    const char* label;
-    api::Workload w;
-  };
-  const Case cases[] = {
-      {"qaoa", api::Workload::qaoa(cost)},
-      {"param-circuit", api::Workload::parameterized(cost, pc)},
-  };
-  const qaoa::Angles a({0.55}, {-0.35});
-  for (const Case& c : cases) {
-    api::Workload optimized = c.w;
-    api::Workload unoptimized = c.w;
-    optimized.with_spec_compile(speccomp::SpecCompileOptions{});
-    unoptimized.with_spec_compile(speccomp::SpecCompileOptions::off());
-    ASSERT_TRUE(optimized.lowered().changed) << c.label;
-    for (const char* backend : {"statevector", "mbqc", "router"}) {
-      for (const int processes : {1, 2}) {
-        api::SessionOptions opt;
-        opt.seed = seed;
-        opt.num_processes = processes;
-        api::Session s_on(optimized, backend, opt);
-        api::Session s_off(unoptimized, backend, opt);
-        const api::SampleResult r_on = s_on.sample(a, 16);
-        const api::SampleResult r_off = s_off.sample(a, 16);
-        ASSERT_EQ(r_on.shots.size(), r_off.shots.size());
-        for (std::size_t s = 0; s < r_off.shots.size(); ++s)
-          ASSERT_EQ(r_on.shots[s].x, r_off.shots[s].x)
-              << c.label << "/" << backend << " @" << processes << "p seed "
-              << seed << " shot " << s;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(s_on.expectation(a)),
-                  std::bit_cast<std::uint64_t>(s_off.expectation(a)))
-            << c.label << "/" << backend << " @" << processes << "p seed "
-            << seed;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SpecCompilerNeutralitySweep,
                          ::testing::Values(0ULL, 1ULL, 42ULL));
 
 }  // namespace

@@ -1,16 +1,22 @@
 // The declarative WorkloadSpec IR: PUBO / weighted-MIS frontends,
 // declarative ParamCircuit ansätze, the entangler-noise knob, the exact
-// binary codec, and — the acceptance bar — process-sharded execution of
-// every serializable ansatz kind bit-identical to the in-process path
-// with NO silent fallback.
+// binary codec, the canonical JSON text codec (byte-stable round trips,
+// exact f64 reproduction, strict malformed-input rejection), the
+// registry-pluggable Registered ansatz kind, and — the acceptance bar —
+// process-sharded execution of every serializable ansatz kind
+// bit-identical to the in-process path with NO silent fallback.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "mbq/api/ansatz_registry.h"
 #include "mbq/api/api.h"
+#include "mbq/api/workload_spec_json.h"
 #include "mbq/common/bits.h"
 #include "mbq/common/parallel.h"
 #include "mbq/common/rng.h"
@@ -29,6 +35,8 @@ using api::Session;
 using api::SessionOptions;
 using api::Workload;
 using api::WorkloadSpec;
+using api::spec_from_json;
+using api::spec_to_json;
 using qaoa::Angles;
 using qaoa::CostHamiltonian;
 using qaoa::Param;
@@ -58,6 +66,12 @@ void expect_same_shots(const SampleResult& got, const SampleResult& want,
 /// Round-trip through the binary spec codec.
 Workload round_tripped(const Workload& w) {
   return Workload::from_spec(api::parse_spec(api::serialize_spec(w.spec())));
+}
+
+CostHamiltonian ring_cost(int n) {
+  CostHamiltonian c(n, 0.25);
+  for (int q = 0; q < n; ++q) c.add_term({q, (q + 1) % n}, 0.5 + 0.125 * q);
+  return c;
 }
 
 /// A third-order PUBO instance: c(x) over 6 vars with monomials of order
@@ -718,6 +732,280 @@ TEST(SpecFingerprint, Fnv1a64MatchesThePublishedVectors) {
   EXPECT_EQ(hash("ab"),
             api::fnv1a64(std::as_bytes(std::span<const char>("b", 1)),
                          hash("a")));
+}
+
+
+// --- JSON text codec --------------------------------------------------
+
+TEST(SpecJson, RoundTripsEveryKindByteStably) {
+  const std::vector<WorkloadSpec> specs = {
+      Workload::qaoa(ring_cost(3)).spec(),
+      Workload::mis_weighted(cycle_graph(4), {0.5, 1.0, 1.5, 2.0}).spec(),
+      Workload::parameterized(ring_cost(2), [] {
+        ParamCircuit pc(2);
+        pc.h(0).cx(0, 1);
+        pc.phase_gadget({0, 1}, Param::gamma(0, 2.0, 0.125));
+        pc.rx(1, Param::beta(0, 2.0));
+        pc.controlled_exp_x(0, {1}, Param::beta(0, 1.0), 1);
+        return pc;
+      }()).spec(),
+      Workload::registered("hea-line", ring_cost(3), {2}).spec(),
+  };
+  for (const WorkloadSpec& spec : specs) {
+    const std::string text = spec_to_json(spec);
+    const WorkloadSpec back = spec_from_json(text);
+    // Canonical emission: JSON -> spec -> JSON is byte-stable, and the
+    // binary codec agrees bit for bit.
+    EXPECT_EQ(spec_to_json(back), text);
+    EXPECT_EQ(api::serialize_spec(back), api::serialize_spec(spec));
+    // And through the binary codec and back to text.
+    const WorkloadSpec rebuilt = api::parse_spec(api::serialize_spec(back));
+    EXPECT_EQ(spec_to_json(rebuilt), text);
+  }
+}
+
+TEST(SpecJson, ReproducesDoublesExactlyIncludingNonFinite) {
+  // 0.1 has no finite binary expansion; the codec must reproduce the
+  // exact bits, not a close decimal.
+  CostHamiltonian c(2, 0.1);
+  c.add_term({0}, 0.1 + 0.2);  // the classic 0.30000000000000004
+  c.add_term({0, 1}, -0.0);    // negative zero survives too
+  WorkloadSpec spec = Workload::qaoa(c).spec();
+  const WorkloadSpec back = spec_from_json(spec_to_json(spec));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back.cost.constant()),
+            std::bit_cast<std::uint64_t>(spec.cost.constant()));
+  for (std::size_t t = 0; t < spec.cost.terms().size(); ++t)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.cost.terms()[t].coeff),
+              std::bit_cast<std::uint64_t>(spec.cost.terms()[t].coeff));
+
+  // Non-finite reals ride as IEEE-754 bit-pattern hex strings; the
+  // registered payload is the one place a spec can carry them and still
+  // validate (hea-line rejects reals, so use the raw helpers).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::string text =
+      "{\"mbq_spec\": 1, \"kind\": \"qaoa\","
+      " \"cost\": {\"num_qubits\": 1, \"constant\": \"inf\","
+      " \"terms\": [{\"coeff\": \"0x7ff8000000000000\", \"support\": [0]}]}}";
+  const WorkloadSpec exotic = spec_from_json(text);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(exotic.cost.constant()),
+            std::bit_cast<std::uint64_t>(inf));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(exotic.cost.terms()[0].coeff),
+            std::bit_cast<std::uint64_t>(nan));
+  // ...and they round trip byte-stably through the canonical emitter.
+  EXPECT_EQ(spec_to_json(spec_from_json(spec_to_json(exotic))),
+            spec_to_json(exotic));
+}
+
+TEST(SpecJson, OptionalKnobsDefaultLikeAFreshSpec) {
+  const WorkloadSpec minimal = spec_from_json(
+      "{\"mbq_spec\": 1, \"kind\": \"qaoa\","
+      " \"cost\": {\"num_qubits\": 2,"
+      " \"terms\": [{\"coeff\": 1.0, \"support\": [0, 1]}]}}");
+  EXPECT_EQ(minimal.linear_style, core::LinearTermStyle::Gadget);
+  EXPECT_EQ(minimal.max_wire_degree, 0);
+  EXPECT_EQ(minimal.entangler_noise, 0.0);
+  EXPECT_EQ(minimal.cost.constant(), 0.0);
+}
+
+TEST(SpecJson, RejectsMalformedInput) {
+  const std::string good =
+      "{\"mbq_spec\": 1, \"kind\": \"qaoa\","
+      " \"cost\": {\"num_qubits\": 2,"
+      " \"terms\": [{\"coeff\": 1.0, \"support\": [0, 1]}]}}";
+  ASSERT_NO_THROW(spec_from_json(good));
+
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"trailing garbage", good + " x"},
+      {"truncated", good.substr(0, good.size() / 2)},
+      {"not an object", "[1, 2, 3]"},
+      {"wrong version",
+       "{\"mbq_spec\": 2, \"kind\": \"qaoa\","
+       " \"cost\": {\"num_qubits\": 1, \"terms\": []}}"},
+      {"missing kind",
+       "{\"mbq_spec\": 1,"
+       " \"cost\": {\"num_qubits\": 1, \"terms\": []}}"},
+      {"unknown kind",
+       "{\"mbq_spec\": 1, \"kind\": \"vqe\","
+       " \"cost\": {\"num_qubits\": 1, \"terms\": []}}"},
+      {"custom is not serializable",
+       "{\"mbq_spec\": 1, \"kind\": \"custom\","
+       " \"cost\": {\"num_qubits\": 1, \"terms\": []}}"},
+      {"unknown linear_style",
+       "{\"mbq_spec\": 1, \"kind\": \"qaoa\", \"linear_style\": \"loop\","
+       " \"cost\": {\"num_qubits\": 1, \"terms\": []}}"},
+      {"bad hex real",
+       "{\"mbq_spec\": 1, \"kind\": \"qaoa\","
+       " \"cost\": {\"num_qubits\": 1, \"constant\": \"0x12xyz\","
+       " \"terms\": []}}"},
+      {"non-integer int",
+       "{\"mbq_spec\": 1, \"kind\": \"qaoa\","
+       " \"cost\": {\"num_qubits\": 1.5, \"terms\": []}}"},
+      {"edge triple",
+       "{\"mbq_spec\": 1, \"kind\": \"mis\","
+       " \"cost\": {\"num_qubits\": 3, \"terms\": []},"
+       " \"graph\": {\"num_vertices\": 3, \"edges\": [[0, 1, 2]]},"
+       " \"vertex_weights\": [1, 1, 1]}"},
+      {"unknown gate kind",
+       "{\"mbq_spec\": 1, \"kind\": \"param-circuit\","
+       " \"cost\": {\"num_qubits\": 1, \"terms\": []},"
+       " \"circuit\": {\"num_qubits\": 1, \"gates\": [{\"kind\": \"ccz\","
+       " \"qubits\": [0], \"angle\": {\"source\": \"constant\","
+       " \"index\": 0, \"scale\": 0, \"offset\": 0}, \"ctrl_value\": 0}]}}"},
+      {"unknown param source",
+       "{\"mbq_spec\": 1, \"kind\": \"param-circuit\","
+       " \"cost\": {\"num_qubits\": 1, \"terms\": []},"
+       " \"circuit\": {\"num_qubits\": 1, \"gates\": [{\"kind\": \"rz\","
+       " \"qubits\": [0], \"angle\": {\"source\": \"delta\","
+       " \"index\": 0, \"scale\": 1, \"offset\": 0}, \"ctrl_value\": 0}]}}"},
+      {"unknown registered name",
+       "{\"mbq_spec\": 1, \"kind\": \"registered\","
+       " \"cost\": {\"num_qubits\": 2, \"terms\": []},"
+       " \"registered\": {\"name\": \"no-such-kind\", \"ints\": [],"
+       " \"reals\": []}}"},
+      // A bit string is "0x" and exactly 16 hex digits: no sign, no
+      // whitespace, no 17th digit.
+      {"signed hex real",
+       "{\"mbq_spec\": 1, \"kind\": \"qaoa\","
+       " \"cost\": {\"num_qubits\": 1,"
+       " \"constant\": \"0x-4010000000000000\", \"terms\": []}}"},
+      {"space in hex real",
+       "{\"mbq_spec\": 1, \"kind\": \"qaoa\","
+       " \"cost\": {\"num_qubits\": 1,"
+       " \"constant\": \"0x 3ff0000000000000\", \"terms\": []}}"},
+      {"17-digit hex real",
+       "{\"mbq_spec\": 1, \"kind\": \"qaoa\","
+       " \"cost\": {\"num_qubits\": 1,"
+       " \"constant\": \"0x13ff0000000000000\", \"terms\": []}}"},
+      // A u-escape is four hex digits naming an ASCII code point.
+      {"non-hex \\u escape",
+       "{\"mbq_spec\": 1, \"kind\": \"qa\\u6fzza\","
+       " \"cost\": {\"num_qubits\": 1, \"terms\": []}}"},
+      {"non-ASCII \\u escape",
+       "{\"mbq_spec\": 1, \"kind\": \"qa\\u016fa\","
+       " \"cost\": {\"num_qubits\": 1, \"terms\": []}}"},
+  };
+  for (const auto& [label, text] : bad)
+    EXPECT_THROW(spec_from_json(text), Error) << label;
+}
+
+// --- the Registered ansatz kind and its registry ----------------------
+
+TEST(AnsatzRegistry, ListingNamesBuiltinsAndErrorsNameTheOffender) {
+  auto& reg = api::AnsatzKindRegistry::instance();
+  EXPECT_TRUE(reg.contains("hea-line"));
+  EXPECT_TRUE(reg.is_builtin("hea-line"));
+  const std::string listing = api::ansatz_kind_listing();
+  EXPECT_NE(listing.find("qaoa"), std::string::npos);
+  EXPECT_NE(listing.find("registered:hea-line"), std::string::npos);
+
+  // Unknown names throw with the full listing.
+  try {
+    Workload::registered("no-such-ansatz", ring_cost(2));
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("no-such-ansatz"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("hea-line"), std::string::npos) << msg;
+  }
+
+  // Wrong-kind accessor errors name the actual kind and list the rest.
+  try {
+    Workload::qaoa(ring_cost(2)).mis_graph();
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("qaoa"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("known kinds:"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("hea-line"), std::string::npos) << msg;
+  }
+
+  // hea-line's payload validation runs at construction.
+  EXPECT_THROW(Workload::registered("hea-line", ring_cost(2)), Error);
+  EXPECT_THROW(Workload::registered("hea-line", ring_cost(2), {0}), Error);
+  EXPECT_THROW(Workload::registered("hea-line", ring_cost(2), {1}, {0.5}),
+               Error);
+}
+
+TEST(AnsatzRegistry, BuiltinKindShardsAcrossProcessesBitIdentically) {
+  // The acceptance bar: a registered (non-enum) ansatz kind round-trips
+  // the wire and executes on real worker processes, bit-identical to
+  // the in-process path.
+  const Workload w = Workload::registered("hea-line", ring_cost(3), {1});
+  EXPECT_TRUE(shard::shardable(w)) << shard::unshardable_reason(w);
+
+  const WorkloadSpec back = api::parse_spec(api::serialize_spec(w.spec()));
+  EXPECT_EQ(back.registered_name, "hea-line");
+  EXPECT_EQ(back.registered_ints, std::vector<int>{1});
+
+  // hea-line consumes one gamma/beta slot per (layer, qubit): p = 3.
+  const qaoa::Angles angles({0.3, -0.2, 0.1}, {0.5, 0.1, -0.4});
+  SessionOptions serial;
+  serial.seed = 7;
+  serial.num_processes = 1;
+  SessionOptions sharded;
+  sharded.seed = 7;
+  sharded.num_processes = 2;
+  Session s1(w, "router", serial);
+  Session s2(w, "router", sharded);
+  EXPECT_EQ(s1.expectation(angles), s2.expectation(angles));
+  const SampleResult r1 = s1.sample(angles, 96);
+  const SampleResult r2 = s2.sample(angles, 96);
+  // The pool spawns on first use: assert the cross-process half was
+  // real only after sampling, like the no-fallback acceptance demands.
+  ASSERT_GT(s2.shard_workers(), 0)
+      << "sharding fell back in-process; the cross-process half of this "
+         "test would be vacuous";
+  ASSERT_EQ(r1.shots.size(), r2.shots.size());
+  for (std::size_t i = 0; i < r1.shots.size(); ++i)
+    ASSERT_EQ(r1.shots[i].x, r2.shots[i].x) << "shot " << i;
+}
+
+TEST(AnsatzRegistry, RuntimeRegistrationsExecuteInProcessOnly) {
+  auto& reg = api::AnsatzKindRegistry::instance();
+  if (!reg.contains("test-gamma-ring")) {
+    api::AnsatzKindHooks hooks;
+    hooks.validate = [](const WorkloadSpec& spec) {
+      MBQ_REQUIRE(spec.registered_ints.empty() &&
+                      spec.registered_reals.size() == 1,
+                  "test-gamma-ring expects reals = {scale}");
+    };
+    hooks.build = [](const WorkloadSpec& spec) {
+      const int n = spec.cost.num_qubits();
+      ParamCircuit pc(n);
+      for (int q = 0; q < n; ++q)
+        pc.phase_gadget({q, (q + 1) % n},
+                        Param::gamma(0, spec.registered_reals[0]));
+      for (int q = 0; q < n; ++q) pc.rx(q, Param::beta(0, 2.0));
+      return pc;
+    };
+    reg.add("test-gamma-ring", hooks);
+  }
+  EXPECT_TRUE(reg.contains("test-gamma-ring"));
+  EXPECT_FALSE(reg.is_builtin("test-gamma-ring"));
+  EXPECT_THROW(reg.add("test-gamma-ring", api::AnsatzKindHooks{}), Error);
+
+  const Workload w =
+      Workload::registered("test-gamma-ring", ring_cost(3), {}, {2.0});
+  // Registered in this process only: a freshly exec'd worker could not
+  // resolve the name, so the workload must not shard...
+  const std::string reason = shard::unshardable_reason(w);
+  EXPECT_NE(reason.find("test-gamma-ring"), std::string::npos) << reason;
+  // ...but both codecs still carry it (any process that registers the
+  // kind can decode and run it).
+  const WorkloadSpec back = spec_from_json(spec_to_json(w.spec()));
+  EXPECT_EQ(back.registered_name, "test-gamma-ring");
+  EXPECT_EQ(api::serialize_spec(back), api::serialize_spec(w.spec()));
+
+  // And it executes in-process, even when the session asks for workers
+  // (documented fallback for unshardable workloads).
+  SessionOptions opt;
+  opt.seed = 3;
+  opt.num_processes = 2;
+  Session session(w, "router", opt);
+  EXPECT_EQ(session.shard_workers(), 0);
+  const SampleResult r = session.sample(qaoa::Angles({0.4}, {0.6}), 32);
+  EXPECT_EQ(r.shots.size(), 32u);
 }
 
 }  // namespace

@@ -37,12 +37,12 @@
 #include <vector>
 
 #include "mbq/api/registry.h"
+#include "mbq/api/workload_spec_json.h"
 #include "mbq/bench/corpus.h"
 #include "mbq/bench/generators.h"
 #include "mbq/bench/harness.h"
 #include "mbq/bench/report.h"
 #include "mbq/qaoa/qaoa.h"
-#include "mbq/speccomp/json.h"
 
 namespace {
 
@@ -64,7 +64,7 @@ int usage(int code) {
       "unix:/path or tcp:host:port (a running mbqd).  --deterministic\n"
       "omits wall-clock and execution-context fields so equivalent runs\n"
       "produce byte-identical reports.  generate --json also writes each\n"
-      "spec as instances/<id>.spec.json text (speccomp JSON codec) next\n"
+      "spec as instances/<id>.spec.json text (the JSON spec codec) next\n"
       "to the binary frame.\n";
   return code;
 }
@@ -196,7 +196,7 @@ int cmd_generate(int argc, char** argv) {
   bench::write_corpus(out_dir, corpus);
   if (json) {
     // Text twins of the binary frames, for non-C++ consumers; read back
-    // with speccomp::spec_from_json or `mbq_spec encode`.
+    // with api::spec_from_json or `mbq_spec encode`.
     for (const bench::Instance& inst : corpus.instances) {
       const std::filesystem::path path = std::filesystem::path(out_dir) /
                                          "instances" /
@@ -206,7 +206,7 @@ int cmd_generate(int argc, char** argv) {
         std::cerr << "mbq_bench: cannot open '" << path.string() << "'\n";
         return 1;
       }
-      os << speccomp::spec_to_json(inst.spec);
+      os << api::spec_to_json(inst.spec);
     }
   }
   std::cout << "mbq_bench: wrote " << corpus.instances.size()

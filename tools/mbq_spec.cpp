@@ -1,25 +1,13 @@
-// mbq_spec — WorkloadSpec codec and spec-compiler inspection CLI.
+// mbq_spec — WorkloadSpec codec CLI.
 //
-//   mbq_spec encode  [--in F] [--out F]            JSON text -> binary frame
-//   mbq_spec decode  [--in F] [--out F]            binary frame -> JSON text
-//   mbq_spec compile [--opt MODE] [--in F] [--out F]
-//                                                  run the pass pipeline and
-//                                                  emit the optimized spec
-//                                                  as JSON
-//   mbq_spec stats   [--opt MODE] [--in F]         run the pipeline and print
-//                                                  the per-pass effect table
+//   mbq_spec encode [--in F] [--out F]    JSON text -> binary frame
+//   mbq_spec decode [--in F] [--out F]    binary frame -> JSON text
 //
-// --in/--out default to "-" (stdin/stdout).  compile/stats accept either
-// codec on input (a frame starting with '{' is JSON, anything else is
-// binary).  MODE is an MBQ_SPEC_OPT value: on, off, all, or a comma list
-// of {canonicalize, peephole, fuse, schedule}; default is the
-// environment's MBQ_SPEC_OPT (or "on").
+// --in/--out default to "-" (stdin/stdout).
 //
 // Round-trip smoke (CI):  mbq_spec encode < spec.json | mbq_spec decode
 // reproduces the canonical JSON byte-for-byte.
 
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -27,25 +15,18 @@
 #include <vector>
 
 #include "mbq/api/workload_spec.h"
+#include "mbq/api/workload_spec_json.h"
 #include "mbq/common/error.h"
-#include "mbq/speccomp/json.h"
-#include "mbq/speccomp/speccomp.h"
 
 namespace {
 
 using namespace mbq;
 
 int usage() {
-  std::cerr
-      << "usage: mbq_spec <encode|decode|compile|stats> [options]\n"
-         "  encode  [--in F] [--out F]          JSON spec -> binary frame\n"
-         "  decode  [--in F] [--out F]          binary frame -> JSON spec\n"
-         "  compile [--opt MODE] [--in F] [--out F]\n"
-         "                                      optimize, emit JSON spec\n"
-         "  stats   [--opt MODE] [--in F]       optimize, print pass table\n"
-         "--in/--out default to - (stdin/stdout); compile/stats autodetect\n"
-         "the input codec.  MODE: on | off | all | comma list of\n"
-         "{canonicalize, peephole, fuse, schedule}.\n";
+  std::cerr << "usage: mbq_spec <encode|decode> [--in F] [--out F]\n"
+               "  encode  JSON spec -> binary frame\n"
+               "  decode  binary frame -> JSON spec\n"
+               "--in/--out default to - (stdin/stdout).\n";
   return 2;
 }
 
@@ -85,19 +66,9 @@ api::WorkloadSpec parse_binary(const std::string& data) {
       reinterpret_cast<const std::byte*>(data.data()), data.size()));
 }
 
-/// compile/stats input: '{' (after optional whitespace) means JSON.
-api::WorkloadSpec parse_either(const std::string& data) {
-  for (const char c : data) {
-    if (std::isspace(static_cast<unsigned char>(c))) continue;
-    return c == '{' ? speccomp::spec_from_json(data) : parse_binary(data);
-  }
-  throw Error("empty spec input");
-}
-
 struct Args {
   std::string in = "-";
   std::string out = "-";
-  speccomp::SpecCompileOptions opt = speccomp::SpecCompileOptions::from_env();
 };
 
 bool parse_args(int argc, char** argv, Args& a) {
@@ -109,39 +80,11 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.in = value;
     } else if (flag == "--out") {
       a.out = value;
-    } else if (flag == "--opt") {
-      a.opt = speccomp::SpecCompileOptions::parse(value);
     } else {
       return false;
     }
   }
   return true;
-}
-
-void print_stats(const speccomp::CompiledSpec& compiled) {
-  std::printf("%-14s %-8s %-8s %s\n", "pass", "enabled", "changed", "effect");
-  for (const speccomp::PassStats& s : compiled.stats) {
-    std::string effect;
-    const auto add = [&effect](const char* label, std::int64_t v) {
-      if (v == 0) return;
-      effect += effect.empty() ? "" : ", ";
-      effect += label;
-      effect += "=" + std::to_string(v);
-    };
-    add("terms_dropped", s.terms_dropped);
-    add("terms_merged", s.terms_merged);
-    add("gates_eliminated", s.gates_eliminated);
-    add("gates_fused", s.gates_fused);
-    add("wires_deferrable", s.wires_deferrable);
-    add("wires_total", s.wires_total);
-    if (effect.empty()) effect = "-";
-    std::printf("%-14s %-8s %-8s %s\n", s.pass.c_str(),
-                s.enabled ? "yes" : "no", s.changed ? "yes" : "no",
-                effect.c_str());
-  }
-  std::printf("fingerprint (raw spec bytes): 0x%016llx\n",
-              static_cast<unsigned long long>(
-                  api::spec_fingerprint(compiled.spec)));
 }
 
 }  // namespace
@@ -154,19 +97,11 @@ int main(int argc, char** argv) {
 
   try {
     if (cmd == "encode") {
-      const api::WorkloadSpec spec = speccomp::spec_from_json(read_all(args.in));
+      const api::WorkloadSpec spec = api::spec_from_json(read_all(args.in));
       write_all(args.out, frame_to_string(api::serialize_spec(spec)));
     } else if (cmd == "decode") {
       const api::WorkloadSpec spec = parse_binary(read_all(args.in));
-      write_all(args.out, speccomp::spec_to_json(spec));
-    } else if (cmd == "compile") {
-      const api::WorkloadSpec spec = parse_either(read_all(args.in));
-      const speccomp::CompiledSpec compiled =
-          speccomp::compile_spec(spec, args.opt);
-      write_all(args.out, speccomp::spec_to_json(compiled.spec));
-    } else if (cmd == "stats") {
-      const api::WorkloadSpec spec = parse_either(read_all(args.in));
-      print_stats(speccomp::compile_spec(spec, args.opt));
+      write_all(args.out, api::spec_to_json(spec));
     } else {
       return usage();
     }

@@ -23,10 +23,10 @@
 #include <string>
 
 #include "mbq/api/workload_spec.h"
+#include "mbq/api/workload_spec_json.h"
 #include "mbq/common/parallel.h"
 #include "mbq/shard/protocol.h"
 #include "mbq/shard/task.h"
-#include "mbq/speccomp/json.h"
 
 namespace {
 
@@ -40,8 +40,7 @@ int decode_spec_stdin() {
   try {
     std::ostringstream buf;
     buf << std::cin.rdbuf();
-    const mbq::api::WorkloadSpec spec =
-        mbq::speccomp::spec_from_json(buf.str());
+    const mbq::api::WorkloadSpec spec = mbq::api::spec_from_json(buf.str());
     // Through the binary wire codec, exactly like a shard frame.
     const mbq::api::WorkloadSpec rebuilt =
         mbq::api::parse_spec(mbq::api::serialize_spec(spec));
@@ -50,7 +49,7 @@ int decode_spec_stdin() {
                   static_cast<unsigned long long>(
                       mbq::api::spec_fingerprint(rebuilt)));
     std::cout << "spec_fingerprint " << fp << "\n"
-              << mbq::speccomp::spec_to_json(rebuilt);
+              << mbq::api::spec_to_json(rebuilt);
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "mbq_worker: " << e.what() << "\n";

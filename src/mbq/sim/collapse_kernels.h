@@ -116,10 +116,12 @@ inline std::complex<R> eff_mul(EffKind k, const std::complex<R>& e,
 
 /// One ISA flavor of the hot-loop kernels for element type R.  All
 /// folds follow the canonical kFoldLanes<R>-lane scheme above; all
-/// entries are safe for any n ≥ 1 (vector flavors delegate awkward
-/// shapes — tiny or non-multiple-of-block sizes, strides below the
-/// vector width — to the scalar reference, which is bit-identical by
-/// the contract).
+/// entries are safe for any n ≥ 1.  Vector flavors hand a few shapes to
+/// the scalar reference, which is bit-identical by the contract: sizes
+/// or slices off the lane quantum, a teleport partner below a measured
+/// wire at or above one register, Pauli swaps whose X mask touches the
+/// positions inside one register, and collapse_pairs / phase_pass on a
+/// wire inside one register (see collapse_kernels_vec.h).
 template <class R>
 struct CollapseKernelsT {
   using C = std::complex<R>;

@@ -17,10 +17,17 @@
 //    registers: a W-wide chunk at stream position m (m ≡ 0 mod W) adds
 //    its squares to lanes m..m+W−1 mod L, which is exactly what the
 //    scalar reference's running lanes receive.
-// Shapes that would break lane alignment (sizes not a multiple of L/2
-// amplitudes, strides narrower than the register) delegate to the
-// scalar table — same bits, just slower; real registers are powers of
-// two so the delegation never triggers past small dims.
+// A few shapes delegate to the scalar table — same bits, just slower:
+//  * sizes or slices off the lane quantum (not a multiple of L/2
+//    amplitudes; real registers are powers of two, so only tiny dims);
+//  * a teleport CZ partner below a measured wire at or above one
+//    register (the ± signs would vary inside a register);
+//  * Pauli swaps whose X mask touches the positions inside one register
+//    (the swap would pair lanes of one register);
+//  * collapse_pairs and phase_pass on a wire inside one register.
+// A teleport of a wire inside one register — the mixer J step, which
+// measures register position 0 or 1 — gathers its pairs into registers
+// instead (teleport_narrow).
 
 #include <bit>
 #include <cstdint>
@@ -209,11 +216,92 @@ struct VecKernels {
     return acc.combine();
   }
 
+  /// Teleport projection for a measured wire q below one register
+  /// (stride < kWc), the J-step shape: the mixer's teleports measure
+  /// register position 0 or 1.  A kWc-rank step from rank r (r ≡ 0 mod
+  /// kWc) reads the contiguous block [2r, 2r + 2·kWc); lane t's pair is
+  /// (2r + j_t, 2r + j_t + 2^q) with j_t = insert_zero_bit(t, q).  The
+  /// step gathers the lower and upper members into two registers through
+  /// a stack buffer; q is a template argument, so the gather indices are
+  /// constants and the compiler can keep the gather in registers.  The
+  /// bits of 2r and of j_t are disjoint, so the CZ-partner sign
+  /// parity((2r + j_t) & pmask) is a per-block base parity times a
+  /// per-lane pattern, served from two tables the way PairSigns serves
+  /// prep_collapse; partners below q need no special case.  Ranks
+  /// [r_begin, r_end) must sit on the kWc grid; with kFold the two
+  /// output halves fold into fresh accumulator sets.
+  template <bool kFold, int Q = 0>
+  static void teleport_narrow(const C* x, C* out, std::uint64_t dim, int q,
+                              std::uint64_t pmask, C e0, C e1, R s,
+                              std::uint64_t r_begin, std::uint64_t r_end,
+                              R* fold_lo, R* fold_hi) {
+    if constexpr ((2 << Q) < kWc) {  // Q + 1 is narrow too
+      if (q != Q)
+        return teleport_narrow<kFold, Q + 1>(x, out, dim, q, pmask, e0, e1, s,
+                                             r_begin, r_end, fold_lo, fold_hi);
+    }
+    constexpr int kStride = 1 << Q;
+    const std::uint64_t rest_count = dim / 2;
+    const bool pm_q = ((pmask >> Q) & 1) != 0;
+    alignas(64) R ta[2][kW], tb[2][kW];  // by the block's base parity
+    for (int base = 0; base < 2; ++base) {
+      for (int t = 0; t < kWc; ++t) {
+        const bool sa =
+            (parity64(insert_zero_bit(std::uint64_t(t), Q) & pmask) != 0) !=
+            (base != 0);
+        ta[base][2 * t] = ta[base][2 * t + 1] = sign_word(sa);
+        tb[base][2 * t] = tb[base][2 * t + 1] = sign_word(sa != pm_q);
+      }
+    }
+    const V sign_a[2] = {T::load(ta[0]), T::load(ta[1])};
+    const V sign_b[2] = {T::load(tb[0]), T::load(tb[1])};
+    const R* p = dp(x);
+    R* o = dp(out);
+    const V sv = T::set1(s);
+    const Eff f0(e0), f1(e1);
+    Acc acc_lo;
+    Acc acc_hi;
+    for (std::uint64_t r = r_begin; r < r_end; r += kWc) {
+      alignas(64) R blk[2 * kW], lo[kW], up[kW];
+      T::store(blk, T::load(p + 4 * r));
+      T::store(blk + kW, T::load(p + 4 * r + kW));
+      for (int t = 0; t < kWc; ++t) {
+        const auto j = insert_zero_bit(std::uint64_t(t), Q);
+        lo[2 * t] = blk[2 * j];
+        lo[2 * t + 1] = blk[2 * j + 1];
+        up[2 * t] = blk[2 * (j + kStride)];
+        up[2 * t + 1] = blk[2 * (j + kStride) + 1];
+      }
+      const V a = f0.apply(T::mul(T::load(lo), sv));
+      const V b = f1.apply(T::mul(T::load(up), sv));
+      const int ph = parity64((2 * r) & pmask);
+      const V r0 = T::add(a, b);
+      const V r1 =  // sign AFTER the product, as in the scalar path
+          T::add(T::xor_signs(a, sign_a[ph]), T::xor_signs(b, sign_b[ph]));
+      T::store(o + 2 * r, r0);
+      T::store(o + 2 * (rest_count + r), r1);
+      if constexpr (kFold) {
+        acc_lo.add(r0);
+        acc_hi.add(r1);
+      }
+    }
+    if constexpr (kFold) {
+      *fold_lo = acc_lo.combine();
+      *fold_hi = acc_hi.combine();
+    }
+  }
+
   static void teleport_collapse(const C* x, C* out, std::uint64_t dim, int q,
                                 std::uint64_t pmask, C e0, C e1, R s) {
     const std::uint64_t stride = std::uint64_t{1} << q;
-    // A partner below the measured wire makes the ± signs vary inside a
-    // block — rare (mixer J chains never do it); leave it to scalar.
+    if (stride < std::uint64_t(kWc) && (dim / 2) % kQ == 0) {
+      teleport_narrow<false>(x, out, dim, q, pmask, e0, e1, s, 0, dim / 2,
+                             nullptr, nullptr);
+      return;
+    }
+    // A partner below a wide-stride measured wire makes the ± signs vary
+    // inside a block — rare (no bench-family tape has one); leave it to
+    // scalar.
     if (dim % kQ != 0 || stride < std::uint64_t(kWc) ||
         (pmask & (stride - 1)) != 0) {
       scalar_kernels_t<R>().teleport_collapse(x, out, dim, q, pmask, e0, e1,
@@ -251,10 +339,16 @@ struct VecKernels {
                                       R* fold_hi) {
     const std::uint64_t stride = std::uint64_t{1} << q;
     // The slice folds restart their lanes at r_begin, so the slice must
-    // begin and end on the delegation quantum; partner bits below the
-    // measured wire go to scalar as in the full pass.
-    if (stride < std::uint64_t(kWc) || (pmask & (stride - 1)) != 0 ||
-        r_begin % kQ != 0 || (r_end - r_begin) % kQ != 0) {
+    // begin and end on the delegation quantum; partner bits below a
+    // wide-stride measured wire go to scalar as in the full pass.
+    const bool on_quantum = r_begin % kQ == 0 && (r_end - r_begin) % kQ == 0;
+    if (on_quantum && stride < std::uint64_t(kWc)) {
+      teleport_narrow<true>(x, out, dim, q, pmask, e0, e1, s, r_begin, r_end,
+                            fold_lo, fold_hi);
+      return;
+    }
+    if (!on_quantum || stride < std::uint64_t(kWc) ||
+        (pmask & (stride - 1)) != 0) {
       scalar_kernels_t<R>().teleport_collapse_range(
           x, out, dim, q, pmask, e0, e1, s, r_begin, r_end, fold_lo, fold_hi);
       return;

@@ -208,24 +208,41 @@ bool run_battery(const CollapseKernelsT<R>& k) {
   return true;
 }
 
-/// The chunk drivers at and above the cutoff, across thread counts:
+/// The chunk drivers at the cutoff, across thread counts:
 /// driver(k, t) must equal driver(scalar, 1) bit-for-bit for every
 /// t — this is where a divergent flavor×thread combination is
 /// rejected.  Representative shapes: both stride regimes, mixed
 /// high/low masks, the fused *_with_total pairs against their unfused
-/// definitions.
+/// definitions.  The fused pairs also run at half the cutoff, where
+/// only the doubled register is chunked.  Twice the cutoff takes no
+/// other branch and is left to test_simd_kernels: its 1 MiB f64 input,
+/// freed here, would raise glibc's dynamic mmap threshold past a
+/// 16-wire register, and a sampling process's peak RSS with it.
+/// Strides and mask bits sit around the chunk boundary
+/// L = log2(kChunkAmps): L − 1 inside a chunk, L the lowest chunk-index
+/// bit, L + 1 above it.
 template <class R>
 bool run_driver_battery(const CollapseKernelsT<R>& k) {
   using C = std::complex<R>;
   const CollapseKernelsT<R>& ref = scalar_kernels_t<R>();
-  const std::uint64_t dim = thr::kChunkCutoffDim;  // 2^14: two chunks
+  constexpr int L = std::countr_zero(thr::kChunkAmps);
+  const std::uint64_t dim = thr::kChunkCutoffDim;  // 2^14: eight chunks
   const R s = R(0.7071067811865476);
   const C e0{R(0.6), R(-0.8)};
   const C e1{R(0.0), R(0.3141592653589793)};
-  std::vector<C> x, y, ox, oy;
+  // No t = 3, the first uneven split of eight chunks: test_simd_kernels
+  // sweeps it, and OMP_NUM_THREADS=3 caps t = 8 at it.  Each new team
+  // width ends or starts libgomp worker threads, and with t = 3 here a
+  // 16-wire sampling run's peak RSS read 0.5 MiB higher in 3 of 4 runs.
   const int threads[] = {1, 2, 8};
-
+  const std::uint64_t pmask = 0x2BULL | (0x5ULL << (L - 1));  // low and high
+  // Every check reads its input from x and writes copies of it.
+  std::vector<C> x, y, ox, oy;
   fill(x, 2 * dim, 0xD1CE5);
+  const auto copy = [&](std::vector<C>& to, std::uint64_t n) {
+    to.assign(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(n));
+  };
+
   for (int t : threads) {
     if (!same(thr::fold_norms(ref, x.data(), dim, 1),
               thr::fold_norms(k, x.data(), dim, t)))
@@ -235,108 +252,103 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
       return false;
   }
 
-  for (int q : {0, 13, 14}) {  // stride < C, == C, > C
-    fill(x, 2 * dim, 0xFACE ^ static_cast<std::uint64_t>(q));
-    ox.assign(dim, C{});
-    const auto fa =
-        thr::collapse_pairs_with_total(ref, x.data(), ox.data(), dim, q, e0,
-                                       e1, 1);
-    const R ua = thr::fold_norms(ref, x.data(), 2 * dim, 1);
-    const R pa = thr::collapse_pairs(ref, x.data(), ox.data(), dim, q, e0, e1,
-                                     1);
-    if (!same(fa.total, ua) || !same(fa.proj, pa)) return false;  // fusion
+  for (const std::uint64_t d : {dim / 2, dim}) {
+    for (int q : {0, L, L + 1}) {  // stride < C, == C, > C
+      ox.assign(d, C{});
+      const auto fa = thr::collapse_pairs_with_total(ref, x.data(), ox.data(),
+                                                     d, q, e0, e1, 1);
+      const R ua = thr::fold_norms(ref, x.data(), 2 * d, 1);
+      const R pa =
+          thr::collapse_pairs(ref, x.data(), ox.data(), d, q, e0, e1, 1);
+      if (!same(fa.total, ua) || !same(fa.proj, pa)) return false;  // fusion
+      for (int t : threads) {
+        oy.assign(d, C{});
+        const auto fb = thr::collapse_pairs_with_total(k, x.data(), oy.data(),
+                                                       d, q, e0, e1, t);
+        if (!same(fa.total, fb.total) || !same(fa.proj, fb.proj) ||
+            !same(ox, oy))
+          return false;
+      }
+    }
+
+    // The doubled register's total three ways: fused, compiled
+    // prep_total_fold and interpreted add_plus_cz.
+    ox.assign(d, C{});
+    const auto pa = thr::prep_collapse_with_total(ref, x.data(), ox.data(), d,
+                                                  pmask, e0, e1, s, 1);
+    const R ta = thr::prep_total_fold(ref, x.data(), d, s, 1);
+    const R ja =
+        thr::prep_collapse(ref, x.data(), ox.data(), d, pmask, e0, e1, s, 1);
+    copy(y, 2 * d);
+    const R ga = thr::add_plus_cz(ref, y.data(), d, pmask, s, 1);
+    if (!same(pa.total, ta) || !same(pa.total, ga) || !same(pa.proj, ja))
+      return false;  // fusion
     for (int t : threads) {
-      oy.assign(dim, C{});
-      const auto fb = thr::collapse_pairs_with_total(k, x.data(), oy.data(),
-                                                     dim, q, e0, e1, t);
-      if (!same(fa.total, fb.total) || !same(fa.proj, fb.proj) ||
+      oy.assign(d, C{});
+      const auto pb = thr::prep_collapse_with_total(k, x.data(), oy.data(), d,
+                                                    pmask, e0, e1, s, t);
+      if (!same(pa.total, pb.total) || !same(pa.proj, pb.proj) ||
           !same(ox, oy))
+        return false;
+      copy(oy, 2 * d);
+      if (!same(ga, thr::add_plus_cz(k, oy.data(), d, pmask, s, t)) ||
+          !same(y, oy))
         return false;
     }
   }
 
-  const std::uint64_t pmask = 0x2BULL | (0x5ULL << 12);  // low and high bits
-  fill(x, dim, 0xBEEF);
-  ox.assign(dim, C{});
-  const auto pa = thr::prep_collapse_with_total(ref, x.data(), ox.data(), dim,
-                                                pmask, e0, e1, s, 1);
-  const R ta = thr::prep_total_fold(ref, x.data(), dim, s, 1);
-  const R ja =
-      thr::prep_collapse(ref, x.data(), ox.data(), dim, pmask, e0, e1, s, 1);
-  if (!same(pa.total, ta) || !same(pa.proj, ja)) return false;  // fusion
-  for (int t : threads) {
-    oy.assign(dim, C{});
-    const auto pb = thr::prep_collapse_with_total(k, x.data(), oy.data(), dim,
-                                                  pmask, e0, e1, s, t);
-    if (!same(pa.total, pb.total) || !same(pa.proj, pb.proj) || !same(ox, oy))
-      return false;
-  }
-
-  for (int q : {2, 13}) {
-    fill(x, dim, 0x7E1E ^ static_cast<std::uint64_t>(q));
+  for (int q : {2, L, L + 1}) {
     ox.assign(dim, C{});
+    const std::uint64_t tp = pmask & ~((std::uint64_t{2} << q) - 1);
     const R fa = thr::teleport_collapse_fold(ref, x.data(), ox.data(), dim, q,
-                                             pmask & ~((1ULL << (q + 1)) - 1),
-                                             e0, e1, s, 1);
+                                             tp, e0, e1, s, 1);
     for (int t : threads) {
       oy.assign(dim, C{});
       const R fb = thr::teleport_collapse_fold(k, x.data(), oy.data(), dim, q,
-                                               pmask & ~((1ULL << (q + 1)) - 1),
-                                               e0, e1, s, t);
+                                               tp, e0, e1, s, t);
       if (!same(fa, fb) || !same(ox, oy)) return false;
     }
   }
 
-  for (std::uint64_t half : {dim / 2, dim}) {
-    fill(x, 2 * half, 0xADD2);
-    y = x;
-    const R fa = thr::add_plus_cz(ref, x.data(), half, pmask, s, 1);
+  const std::uint64_t eqm = (1ULL << L) | 0x6;
+  const std::uint64_t parm = (0x5ULL << (L - 1)) | 0x5;
+  copy(y, dim);
+  thr::sign_pass(ref, y.data(), dim, eqm, parm, false, 1);
+  for (int t : threads) {
+    copy(oy, dim);
+    thr::sign_pass(k, oy.data(), dim, eqm, parm, false, t);
+    if (!same(y, oy)) return false;
+  }
+
+  // The last mask has no bit inside a chunk: a chunk-constant flip.
+  const std::uint64_t czm[] = {0x3, (1ULL << L) | 0x18, 1ULL << (L - 1),
+                               0x41, 0x3ULL << L};
+  copy(y, dim);
+  thr::cz_masks_pass(ref, y.data(), dim, czm, 5, 1);
+  for (int t : threads) {
+    copy(oy, dim);
+    thr::cz_masks_pass(k, oy.data(), dim, czm, 5, t);
+    if (!same(y, oy)) return false;
+  }
+
+  for (std::uint64_t xm : {0x22ULL, 1ULL << L}) {
+    copy(y, dim);
+    thr::pauli_swap_pass(ref, y.data(), dim, xm, parm, eqm, true, 1);
     for (int t : threads) {
-      y.assign(x.size(), C{});
-      fill(y, 2 * half, 0xADD2);
-      const R fb = thr::add_plus_cz(k, y.data(), half, pmask, s, t);
-      if (!same(fa, fb) || !same(x, y)) return false;
+      copy(oy, dim);
+      thr::pauli_swap_pass(k, oy.data(), dim, xm, parm, eqm, true, t);
+      if (!same(y, oy)) return false;
     }
   }
 
-  const std::uint64_t eqm = (1ULL << 13) | 0x6;
-  const std::uint64_t parm = (1ULL << 12) | 0x5;
-  fill(x, dim, 0x51C);
-  y = x;
-  thr::sign_pass(ref, x.data(), dim, eqm, parm, false, 1);
-  for (int t : threads) {
-    fill(y, dim, 0x51C);
-    thr::sign_pass(k, y.data(), dim, eqm, parm, false, t);
-    if (!same(x, y)) return false;
-  }
-
-  const std::uint64_t czm[] = {0x3, (1ULL << 13) | 0x18, 1ULL << 12, 0x41};
-  fill(x, dim, 0xC20);
-  thr::cz_masks_pass(ref, x.data(), dim, czm, 4, 1);
-  for (int t : threads) {
-    fill(y, dim, 0xC20);
-    thr::cz_masks_pass(k, y.data(), dim, czm, 4, t);
-    if (!same(x, y)) return false;
-  }
-
-  for (std::uint64_t xm : {0x22ULL, 1ULL << 13}) {
-    fill(x, dim, 0x9A11 ^ xm);
-    thr::pauli_swap_pass(ref, x.data(), dim, xm, parm, eqm, true, 1);
-    for (int t : threads) {
-      fill(y, dim, 0x9A11 ^ xm);
-      thr::pauli_swap_pass(k, y.data(), dim, xm, parm, eqm, true, t);
-      if (!same(x, y)) return false;
-    }
-  }
-
-  for (int q : {2, 13}) {
+  for (int q : {2, L}) {
     const C e{R(0.984807753012208), R(0.17364817766693033)};
-    fill(x, dim, 0xFA5E ^ static_cast<std::uint64_t>(q));
-    thr::phase_pass(ref, x.data(), dim, q, e, 1);
+    copy(y, dim);
+    thr::phase_pass(ref, y.data(), dim, q, e, 1);
     for (int t : threads) {
-      fill(y, dim, 0xFA5E ^ static_cast<std::uint64_t>(q));
-      thr::phase_pass(k, y.data(), dim, q, e, t);
-      if (!same(x, y)) return false;
+      copy(oy, dim);
+      thr::phase_pass(k, oy.data(), dim, q, e, t);
+      if (!same(y, oy)) return false;
     }
   }
 

@@ -29,7 +29,9 @@ struct Avx512Traits {
   static V add(V a, V b) noexcept { return _mm512_add_pd(a, b); }
   static V mul(V a, V b) noexcept { return _mm512_mul_pd(a, b); }
   /// Swap within each 128-bit (re,im) pair: imm 0x55 = 01 per pair.
-  static V swap_pairs(V v) noexcept { return _mm512_permute_pd(v, 0x55); }
+  /// shuffle(v, v) is the same permutation as permute_pd(v, 0x55),
+  /// without GCC 12's -Wmaybe-uninitialized false positive.
+  static V swap_pairs(V v) noexcept { return _mm512_shuffle_pd(v, v, 0x55); }
   static V xor_signs(V v, V m) noexcept {
     return _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(v),
                                                 _mm512_castpd_si512(m)));
@@ -62,7 +64,7 @@ struct Avx512TraitsF32 {
   static V mul(V a, V b) noexcept { return _mm512_mul_ps(a, b); }
   /// Swap within each 64-bit (re,im) pair: imm 0xB1 = 2,3,0,1 per lane
   /// quad.
-  static V swap_pairs(V v) noexcept { return _mm512_permute_ps(v, 0xB1); }
+  static V swap_pairs(V v) noexcept { return _mm512_shuffle_ps(v, v, 0xB1); }
   static V xor_signs(V v, V m) noexcept {
     return _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(v),
                                                 _mm512_castps_si512(m)));

@@ -6,8 +6,10 @@
 // THE CHUNKED CONTRACT.  Above a size cutoff, every sweep is DEFINED as
 // a sequence of fixed-size chunks of its index space:
 //
-//   * chunk size kChunkAmps = 2^13 amplitudes (128 KiB f64 / 64 KiB f32
-//     — two such blocks fit comfortably in any L2 we target);
+//   * chunk size kChunkAmps = 2^11 amplitudes (32 KiB f64 / 16 KiB f32
+//     — one block fits in L1d), so a 2^14-amplitude sweep runs as 8
+//     chunks and a teleport half as 4: a lone call's kernels spread
+//     over four threads;
 //   * a sweep whose index space holds >= kChunkCutoffDim = 2^14 entries
 //     is chunked; below that it is ONE plain kernel call, bit-identical
 //     to what the library always did;
@@ -25,7 +27,7 @@
 //
 // CACHE BLOCKING falls out of the same decomposition: the *_with_total
 // drivers compute a sweep's Born denominator AND its projection chunk
-// by chunk, so each amplitude block is read once and reused from L2
+// by chunk, so each amplitude block is read once and reused from L1d
 // instead of being streamed from DRAM twice.  Fusion never changes
 // values: the per-chunk partials and their combination order are
 // exactly those of the unfused drivers.
@@ -48,8 +50,8 @@
 
 namespace mbq::thr {
 
-/// Amplitudes per chunk (a power of two; 2^13 = 128 KiB of f64 amps).
-inline constexpr std::uint64_t kChunkAmps = std::uint64_t{1} << 13;
+/// Amplitudes per chunk (a power of two; 2^11 = 32 KiB of f64 amps).
+inline constexpr std::uint64_t kChunkAmps = std::uint64_t{1} << 11;
 
 /// An index space with at least this many entries is chunked.
 inline constexpr std::uint64_t kChunkCutoffDim = std::uint64_t{1} << 14;
@@ -267,17 +269,12 @@ Folds2<R> prep_collapse_with_total(const CollapseKernelsT<R>& k,
                                    std::complex<R>* out, std::uint64_t dim,
                                    std::uint64_t pmask, std::complex<R> e0,
                                    std::complex<R> e1, R s, int threads) {
-  if (!detail::chunked(2 * dim)) {
-    const R total = k.prep_total_fold(x, dim, s);
+  if (!detail::chunked(dim)) {
+    // The total keeps its own contract (chunked once 2·dim reaches the
+    // cutoff); the projection is one plain call.
+    const R total = prep_total_fold(k, x, dim, s, threads);
     const R proj = k.prep_collapse(x, out, dim, pmask, e0, e1, s);
     return {total, proj};
-  }
-  if (!detail::chunked(dim)) {
-    // 2·dim is exactly the cutoff: total is chunked (one half-chunk
-    // added twice), the projection is still one plain call.
-    const R half = k.fold_norms_scaled(x, dim, s);
-    const R proj = k.prep_collapse(x, out, dim, pmask, e0, e1, s);
-    return {half + half, proj};
   }
   const std::uint64_t nc = dim / kChunkAmps;
   const std::uint64_t pm_lo = pmask & (kChunkAmps - 1);

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,15 @@ bool same_bits(double a, double b) {
 struct IsaGuard {
   SimdIsa saved;
   IsaGuard() : saved(active_simd_isa()) {}
-  ~IsaGuard() { force_simd_isa(saved); }
+  // force_simd_isa throws when a flavor fails its self-check; a throwing
+  // destructor would end the binary, so record it as this test's failure.
+  ~IsaGuard() {
+    try {
+      force_simd_isa(saved);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "restoring " << isa_name(saved) << ": " << e.what();
+    }
+  }
 };
 
 struct ThreadGuard {

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -58,7 +60,15 @@ bool same_bits(const cplx& a, const cplx& b) {
 struct IsaGuard {
   SimdIsa saved;
   IsaGuard() : saved(active_simd_isa()) {}
-  ~IsaGuard() { force_simd_isa(saved); }
+  // force_simd_isa throws when a flavor fails its self-check; a throwing
+  // destructor would end the binary, so record it as this test's failure.
+  ~IsaGuard() {
+    try {
+      force_simd_isa(saved);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "restoring " << isa_name(saved) << ": " << e.what();
+    }
+  }
 };
 
 std::vector<cplx> random_amps(Rng& rng, std::size_t n) {
@@ -422,19 +432,25 @@ struct ThreadGuard {
 };
 
 // Every thr:: driver at the chunk cutoff, for every host flavor, at
-// thread counts {1, 2, 8}: bit-identical to the scalar single-threaded
-// leg.  This is the public-API face of the dispatch-time driver battery.
+// thread counts {1, 2, 3, 8}: bit-identical to the scalar
+// single-threaded leg.  The fused *_with_total drivers also run at half
+// and twice the cutoff, and their totals must equal the unfused folds.
+// This is the public-API face of the dispatch-time driver battery.
 TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
   // The budget caps every team: raise it so t = 8 really runs 8 threads.
   ThreadGuard guard;
   set_num_threads(8);
+  // Strides and mask bits sit around the chunk boundary: L - 1 inside a
+  // chunk, L the lowest chunk-index bit, L + 1 above it.
+  constexpr int L = std::countr_zero(thr::kChunkAmps);
   constexpr std::uint64_t dim = thr::kChunkCutoffDim;
   Rng rng(77);
-  const auto x = random_amps(rng, 2 * dim);
+  const auto x = random_amps(rng, 4 * dim);  // 2·dim pairs at the top size
+  const std::vector<cplx> x2(x.begin(), x.begin() + 2 * dim);
   const cplx e0{0.6, -0.8}, e1{0.0, 0.7071067811865476};
   const double sc = 0.8125;
-  const std::uint64_t pmask = 0x2BULL | (0x5ULL << 12);
-  const std::uint64_t cz_masks[3] = {0x3, (1ULL << 13) | 0x18, 1ULL << 12};
+  const std::uint64_t pmask = 0x2BULL | (0x5ULL << (L - 1));
+  const std::uint64_t cz_masks[3] = {0x3, (1ULL << L) | 0x18, 1ULL << (L - 1)};
 
   struct Results {
     std::vector<double> folds;
@@ -445,45 +461,55 @@ TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
     r.folds.push_back(thr::fold_norms(k, x.data(), 2 * dim, t));
     r.folds.push_back(thr::prep_total_fold(k, x.data(), dim, sc, t));
 
-    auto sca = x;
+    auto sca = x2;
     r.folds.push_back(thr::scale_fold(k, sca.data(), 2 * dim, sc, t));
     r.amps.insert(r.amps.end(), sca.begin(), sca.end());
 
-    std::vector<cplx> out(dim);
-    for (int q : {0, 13, 14}) {
-      const auto f = thr::collapse_pairs_with_total(k, x.data(), out.data(),
-                                                    dim, q, e0, e1, t);
-      r.folds.push_back(f.total);
-      r.folds.push_back(f.proj);
+    // Every size the cutoff splits; at half of it only the doubled
+    // register's total is chunked.
+    for (const std::uint64_t d : {dim / 2, dim, 2 * dim}) {
+      SCOPED_TRACE("d=" + std::to_string(d));
+      std::vector<cplx> out(d);
+      for (int q : {0, L, L + 1}) {  // stride < C, == C, > C
+        const auto f = thr::collapse_pairs_with_total(k, x.data(), out.data(),
+                                                      d, q, e0, e1, t);
+        EXPECT_PRED2(same_fold, f.total,
+                     thr::fold_norms(k, x.data(), 2 * d, t))
+            << "q=" << q;
+        r.folds.push_back(f.total);
+        r.folds.push_back(f.proj);
+        r.amps.insert(r.amps.end(), out.begin(), out.end());
+      }
+
+      const auto fp = thr::prep_collapse_with_total(k, x.data(), out.data(),
+                                                    d, pmask, e0, e1, sc, t);
+      std::vector<cplx> gad(x.begin(), x.begin() + 2 * d);
+      const double g = thr::add_plus_cz(k, gad.data(), d, pmask, sc, t);
+      EXPECT_PRED2(same_fold, fp.total,
+                   thr::prep_total_fold(k, x.data(), d, sc, t));
+      EXPECT_PRED2(same_fold, fp.total, g);
+      r.folds.push_back(fp.total);
+      r.folds.push_back(fp.proj);
+      r.folds.push_back(g);
       r.amps.insert(r.amps.end(), out.begin(), out.end());
+      r.amps.insert(r.amps.end(), gad.begin(), gad.end());
     }
 
-    const auto fp = thr::prep_collapse_with_total(k, x.data(), out.data(),
-                                                  dim, pmask, e0, e1, sc, t);
-    r.folds.push_back(fp.total);
-    r.folds.push_back(fp.proj);
-    r.amps.insert(r.amps.end(), out.begin(), out.end());
-
-    for (int q : {0, 1, 2, 13}) {  // 0 and 1: the J-step shape
+    std::vector<cplx> out(dim);
+    for (int q : {0, 1, 2, L}) {  // 0 and 1: the J-step shape
       const std::uint64_t tp = pmask & ~((std::uint64_t{2} << q) - 1);
       r.folds.push_back(thr::teleport_collapse_fold(
           k, x.data(), out.data(), dim, q, tp, e0, e1, sc, t));
       r.amps.insert(r.amps.end(), out.begin(), out.end());
     }
 
-    auto gad = x;
-    gad.resize(2 * dim);
-    r.folds.push_back(
-        thr::add_plus_cz(k, gad.data(), dim, pmask, sc, t));
-    r.amps.insert(r.amps.end(), gad.begin(), gad.end());
-
-    auto p = x;
-    thr::sign_pass(k, p.data(), 2 * dim, (1ULL << 13) | 0x6,
-                   (1ULL << 12) | 0x5, true, t);
+    auto p = x2;
+    thr::sign_pass(k, p.data(), 2 * dim, (1ULL << L) | 0x6,
+                   (1ULL << (L - 1)) | 0x5, true, t);
     thr::cz_masks_pass(k, p.data(), 2 * dim, cz_masks, 3, t);
-    thr::pauli_swap_pass(k, p.data(), 2 * dim, 1ULL << 13, pmask,
-                         (1ULL << 14) | 0x3, false, t);
-    thr::phase_pass(k, p.data(), 2 * dim, 13, e0, t);
+    thr::pauli_swap_pass(k, p.data(), 2 * dim, 1ULL << L, pmask,
+                         (1ULL << (L + 1)) | 0x3, false, t);
+    thr::phase_pass(k, p.data(), 2 * dim, L, e0, t);
     r.amps.insert(r.amps.end(), p.begin(), p.end());
     return r;
   };
@@ -491,7 +517,7 @@ TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
   const Results want = run(scalar_kernels(), 1);
   for (SimdIsa isa : supported_simd_isas()) {
     const CollapseKernels& k = *kernels_for_isa(isa);
-    for (int t : {1, 2, 8}) {
+    for (int t : {1, 2, 3, 8}) {
       SCOPED_TRACE(std::string("isa=") + isa_name(isa) +
                    " threads=" + std::to_string(t));
       const Results got = run(k, t);

@@ -306,11 +306,12 @@ BENCHMARK(BM_PatternRunClifford)->DenseRange(16, 60, 22);
 // Process-sharded Session sampling: shots/sec at 1 vs N worker
 // processes on the p=2 MaxCut workload (items/sec IS shots/sec).  The
 // 1-process row is the in-process path; rows with processes >= 2 fan
-// contiguous shot slices out to single-threaded mbq_worker children
-// (outcome streams are bit-identical across ALL rows — test_shard
-// asserts it; this table only times the fan-out).  Speedup tracks the
-// physical core count: on a 1-core box the sharded rows only measure
-// protocol overhead.  Run with
+// contiguous shot slices out to mbq_worker children that split the
+// process's thread budget between them (outcome streams are
+// bit-identical across ALL rows — test_shard asserts it; this table
+// only times the fan-out).  Speedup tracks the physical core count: on
+// a 1-core box the sharded rows only measure protocol overhead.  Run
+// with
 //   --benchmark_filter=SessionSampleProcesses
 //       --benchmark_out=BENCH_shard_scaling.json
 // to produce the shard-scaling artifact CI uploads.

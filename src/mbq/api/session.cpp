@@ -349,7 +349,7 @@ shard::Response Session::run(const shard::Request& req,
   serve::DaemonClient* daemon = executor(req.end);
   counter += count;
   if (daemon == nullptr) {
-    shard::Response r = shard::evaluate(*backend_, req, preps);
+    shard::Response r = shard::evaluate(*backend_, req, preps, 1);
     if (!r.ok) throw Error(r.error_message);
     return r;
   }

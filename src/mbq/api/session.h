@@ -36,7 +36,8 @@
 // or set_num_threads()), by the rule in common/parallel.h.  A call of
 // two or more items runs its items in parallel and each item's chunked
 // simulator kernels on one thread; a call of one item gives its kernels
-// the whole budget.  Each mbq_worker runs on one thread.
+// the whole budget.  A sharded call's fleet splits the budget over its
+// workers (serve/daemon.h).
 //
 // Determinism contract: shot s of sample call k draws
 // rng.stream(k).stream(s), and the k-th expectation this session

@@ -73,13 +73,21 @@ std::vector<real> CostHamiltonian::cost_table() const {
   }
   const real c0 = constant_;
   auto* out = table.data();
-  parallel_for(static_cast<std::int64_t>(table.size()), [&](std::int64_t x) {
-    real c = c0;
-    for (std::size_t i = 0; i < masks.size(); ++i) {
-      const int par = parity64(static_cast<std::uint64_t>(x) & masks[i]);
-      c += par ? -terms_[i].coeff : terms_[i].coeff;
+  // Fixed kParallelGrain-entry blocks, as parallel_sum cuts its sums: a
+  // one-block table (n <= 12) opens no team, whose wake-up can cost
+  // more than the whole table on a busy host.
+  const auto size = static_cast<std::int64_t>(table.size());
+  const std::int64_t blocks = (size + kParallelGrain - 1) / kParallelGrain;
+  parallel_for_threads(blocks, num_threads(), [&](std::int64_t b) {
+    const std::int64_t end = std::min(size, (b + 1) * kParallelGrain);
+    for (std::int64_t x = b * kParallelGrain; x < end; ++x) {
+      real c = c0;
+      for (std::size_t i = 0; i < masks.size(); ++i) {
+        const int par = parity64(static_cast<std::uint64_t>(x) & masks[i]);
+        c += par ? -terms_[i].coeff : terms_[i].coeff;
+      }
+      out[x] = c;
     }
-    out[x] = c;
   });
   return table;
 }

@@ -26,6 +26,7 @@
 
 #include "mbq/api/workload_spec.h"
 #include "mbq/common/error.h"
+#include "mbq/common/parallel.h"
 #include "mbq/common/serialize.h"
 #include "mbq/shard/plan.h"
 #include "mbq/shard/worker.h"
@@ -41,6 +42,13 @@ int resolve_workers(int requested) {
   if (const char* env = std::getenv("MBQ_NUM_PROCESSES"))
     if (const int n = std::atoi(env); n >= 1) return n;
   return 2;
+}
+
+/// Seat i's share of a thread budget split over `seats` workers: an even
+/// split with the remainder going to the first seats, and at least one
+/// thread each, so the fleet runs max(budget, seats) threads in all.
+int thread_share(int budget, int seats, int i) {
+  return std::max(1, budget / seats + (i < budget % seats ? 1 : 0));
 }
 
 /// Warm-cache identity of one (backend, workload, angles) evaluation —
@@ -130,6 +138,7 @@ void set_nonblock_cloexec(int fd) {
 struct Daemon::Impl {
   DaemonOptions opts;
   int workers = 0;
+  std::vector<int> threads;  // each seat's thread budget, set by start()
   int max_slices = 0;
   int timeout_ms = 0;
   std::string worker_path;
@@ -599,7 +608,8 @@ struct Daemon::Impl {
     }
 
     try {
-      const shard::SpawnedWorker w = shard::spawn_worker(worker_path);
+      const shard::SpawnedWorker w =
+          shard::spawn_worker(worker_path, threads[idx]);
       seat.pid = w.pid;
       seat.fd = w.fd;
       stat([&](DaemonStats& s) {
@@ -900,8 +910,13 @@ void Daemon::start() {
     im.seats.resize(static_cast<std::size_t>(im.workers));
     im.stats = DaemonStats{};
     im.stats.workers.resize(im.seats.size());
+    const int budget = num_threads();
+    im.threads.resize(im.seats.size());
+    for (int i = 0; i < im.workers; ++i)
+      im.threads[i] = thread_share(budget, im.workers, i);
     for (std::size_t i = 0; i < im.seats.size(); ++i) {
-      const shard::SpawnedWorker w = shard::spawn_worker(im.worker_path);
+      const shard::SpawnedWorker w =
+          shard::spawn_worker(im.worker_path, im.threads[i]);
       im.seats[i].pid = w.pid;
       im.seats[i].fd = w.fd;
       im.stats.workers[i].pid = w.pid;
@@ -947,6 +962,10 @@ std::string Daemon::endpoint_string() const {
 }
 
 int Daemon::workers() const noexcept { return impl_->workers; }
+
+const std::vector<int>& Daemon::worker_threads() const {
+  return impl_->threads;
+}
 
 std::vector<std::int64_t> Daemon::worker_pids() const {
   std::lock_guard<std::mutex> lk(impl_->stats_mu);

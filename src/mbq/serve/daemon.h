@@ -28,6 +28,11 @@
 //     indices), and the client's merger rejects duplicate coverage.  A
 //     worker that is alive but wedged is killed after worker_timeout_ms
 //     (when enabled) and handled the same way.
+//   * Threads: start() splits the process's thread budget
+//     (num_threads(), common/parallel.h) over the seats — ⌊B/W⌋ each,
+//     one more for the first B mod W, at least 1 — and every worker,
+//     respawns included, runs on its seat's share.  Results are
+//     bit-identical at every share, as they are at every budget.
 //   * Warm cache: workers keep a prepare-artifact LRU keyed by
 //     (backend, spec_fingerprint, angles) — see shard/task.cpp — and
 //     the scheduler routes slices of a fingerprint it has seen to the
@@ -90,9 +95,10 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Bind every endpoint, spawn the fleet, and launch the event loop
-  /// thread.  Throws Error (nothing half-started) on bad endpoints, a
-  /// missing worker executable, or spawn failure.
+  /// Bind every endpoint, spawn the fleet on its shares of the calling
+  /// process's thread budget, and launch the event loop thread.  Throws
+  /// Error (nothing half-started) on bad endpoints, a missing worker
+  /// executable, or spawn failure.
   void start();
   /// Graceful shutdown: stop accepting, drop connections, reap the
   /// fleet, remove unix socket files.  Idempotent.
@@ -105,6 +111,8 @@ class Daemon {
   std::string endpoint_string() const;
 
   int workers() const noexcept;
+  /// Each seat's thread budget, fixed by the last start().
+  const std::vector<int>& worker_threads() const;
   /// Live fleet pids — for fault-injection tests and diagnostics.
   std::vector<std::int64_t> worker_pids() const;
   /// Consistent snapshot of the counters a STATS frame reports.

@@ -40,8 +40,8 @@ void require_supported(const api::Backend& backend, const api::Workload& w,
 // artifacts are immutable and backends are stateless — reusing one is
 // exactly what Session's own LRU does; hits skip the support check for
 // the same reason Session's do (entries are only inserted after it
-// passed).  Not synchronized: only single-threaded worker processes use
-// it (see tools/mbq_worker.cpp).
+// passed).  Not synchronized: only execute_request's prepare loop, which
+// runs serially before any item fans out, touches it.
 
 struct PrepCacheEntry {
   std::string backend;
@@ -83,7 +83,8 @@ std::shared_ptr<const api::Prepared> cached_prepare(
 
 Response evaluate(
     const api::Backend& backend, const Request& req,
-    std::span<const std::shared_ptr<const api::Prepared>> preps) {
+    std::span<const std::shared_ptr<const api::Prepared>> preps,
+    std::int64_t grain) {
   const bool sample = req.kind == TaskKind::kSample;
   const auto count = static_cast<std::int64_t>(req.end - req.begin);
   Response out;
@@ -105,7 +106,7 @@ Response evaluate(
       out.error_message = what;
     }
   };
-  parallel_for_grain(count, 1, [&](std::int64_t k) {
+  parallel_for_grain(count, grain, [&](std::int64_t k) {
     const std::uint64_t t = req.begin + static_cast<std::uint64_t>(k);
     try {
       if (sample) {
@@ -156,7 +157,16 @@ Response execute_request(const Request& req) {
       }
       t = sample ? (i + 1) * req.shots : t + 1;
     }
-    return evaluate(*backend, req, preps);
+    // A worker waits on its channel between slices, so its team's threads
+    // are asleep when a slice arrives, and waking them costs more than a
+    // small slice's items take.  Its items share a team only when they
+    // hold kParallelGrain amplitudes in all (items x 2^n); below that
+    // they run in turn, each with the worker's whole share for its
+    // kernels.
+    const int n = req.workload.num_qubits();
+    return evaluate(
+        *backend, req, preps,
+        std::max<std::int64_t>(kParallelGrain >> std::min(n, 62), 1));
   } catch (const std::exception& e) {
     return error_response(req.begin, e.what());
   }

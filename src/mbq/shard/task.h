@@ -26,19 +26,25 @@ namespace mbq::shard {
 /// Evaluate items [req.begin, req.end) of `req` on `backend`; preps[i] is
 /// the prepare artifact of req.points[i] (null where the backend caches
 /// nothing, or for points outside the slice).  Items fan out over
-/// parallel_for_grain, so the thread budget (common/parallel.h) goes to
-/// the items when there are two or more; the streams are the same at
-/// every thread count.  Never throws: a failure becomes an error
-/// Response at the lowest failing index, with error_in_eval set (its
-/// streams were drawn).
+/// parallel_for_grain(count, grain), so the thread budget
+/// (common/parallel.h) goes to the items when there are at least
+/// max(grain, 2) of them, and to each item's kernels otherwise; the
+/// streams are the same at every thread count and grain.  A Session
+/// passes grain 1.  Never throws: a failure becomes an error Response at
+/// the lowest failing index, with error_in_eval set (its streams were
+/// drawn).
 Response evaluate(
     const api::Backend& backend, const Request& req,
-    std::span<const std::shared_ptr<const api::Prepared>> preps);
+    std::span<const std::shared_ptr<const api::Prepared>> preps,
+    std::int64_t grain);
 
 /// Execute one request in a worker.  The check phase support-checks and
 /// prepares every point the slice touches before any stream is drawn; a
 /// failure there is reported at the point's first index in the slice,
-/// with error_in_eval unset.  Then evaluate().  Never throws.
+/// with error_in_eval unset.  Then evaluate(), whose items share a team
+/// only when they hold kParallelGrain amplitudes in all (items x 2^n):
+/// an idle worker's team sleeps, and waking it costs more than a smaller
+/// slice takes.  Never throws.
 Response execute_request(const Request& req);
 
 }  // namespace mbq::shard

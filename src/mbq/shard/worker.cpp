@@ -28,10 +28,14 @@ bool is_executable(const std::string& path) {
 
 }  // namespace
 
-SpawnedWorker spawn_worker(const std::string& worker_path) {
+SpawnedWorker spawn_worker(const std::string& worker_path, int threads) {
   MBQ_REQUIRE(is_executable(worker_path),
               "shard worker executable not found or not executable: '"
                   << worker_path << "'");
+  MBQ_REQUIRE(threads >= 1, "worker thread budget must be >= 1, got "
+                                << threads);
+  // Built before fork: the child must not allocate before exec.
+  const std::string threads_arg = std::to_string(threads);
   int sv[2];
   MBQ_REQUIRE(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
               "socketpair failed: " << std::strerror(errno));
@@ -50,7 +54,8 @@ SpawnedWorker spawn_worker(const std::string& worker_path) {
     // the channel to a fixed descriptor and exec the worker.
     ::dup2(sv[1], 3);  // dup2 clears CLOEXEC on the new descriptor
     if (sv[1] != 3) ::close(sv[1]);
-    const char* argv[] = {worker_path.c_str(), "3", nullptr};
+    const char* argv[] = {worker_path.c_str(), "3", threads_arg.c_str(),
+                          nullptr};
     ::execve(worker_path.c_str(), const_cast<char**>(argv), environ);
     _exit(127);  // exec failed; parent sees EOF and reports
   }

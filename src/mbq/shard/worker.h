@@ -3,9 +3,9 @@
 // (serve/daemon.h), which also backs every process-sharded Session.
 //
 // A worker is fork/exec'd with one AF_UNIX stream socket to its parent
-// and loops on (read request frame, execute, write response frame) until
-// the parent closes the socket.  The parent end is CLOEXEC, so workers
-// never inherit their siblings' channels.
+// and its thread budget, and loops on (read request frame, execute,
+// write response frame) until the parent closes the socket.  The parent
+// end is CLOEXEC, so workers never inherit their siblings' channels.
 
 #include <sys/types.h>
 
@@ -24,13 +24,15 @@ std::string resolve_worker_path(const std::string& override_path = {});
 /// One fork/exec'd mbq_worker and the parent end of its channel.  The
 /// parent fd is CLOEXEC (later siblings never inherit it); closing it
 /// EOFs the worker's request loop, which is the normal shutdown path.
-/// The daemon spawns its fleet, and respawns dead workers, through this.
-/// Throws Error when the executable cannot be spawned.
+/// The worker runs with a thread budget of `threads` (>= 1; its
+/// set_num_threads).  The daemon spawns its fleet, and respawns dead
+/// workers, through this.  Throws Error when the executable cannot be
+/// spawned.
 struct SpawnedWorker {
   pid_t pid = -1;
   int fd = -1;
 };
-SpawnedWorker spawn_worker(const std::string& worker_path);
+SpawnedWorker spawn_worker(const std::string& worker_path, int threads);
 
 /// The daemon's default per-slice deadline: MBQ_WORKER_TIMEOUT_MS, or 0
 /// (wait forever) when unset/invalid.  A worker that holds a slice

@@ -34,6 +34,7 @@
 #include <type_traits>
 
 #include "mbq/common/bits.h"
+#include "mbq/common/error.h"
 #include "mbq/sim/collapse_kernels.h"
 
 namespace mbq::detail {
@@ -70,19 +71,26 @@ struct VecKernels {
 
   /// The canonical kL-lane fold held in kL/W vector registers; add()
   /// consumes one W-wide chunk (stream position multiple of W, fed in
-  /// ascending order from a position ≡ 0 mod kL).
+  /// ascending order from a position ≡ 0 mod kL).  Each chunk adds into
+  /// v[0] and the set rotates, so every index is a compile-time constant
+  /// and the set stays in registers (a runtime slot index kept it on the
+  /// stack); after whole kQ quanta — kNV chunks each — it is back in
+  /// lane order.
   struct Acc {
     static constexpr int kNV = kL / kW;
     V v[kNV];
-    int slot = 0;
+    std::uint64_t chunks = 0;
     Acc() noexcept {
       for (int i = 0; i < kNV; ++i) v[i] = T::zero();
     }
     void add(V x) noexcept {
-      v[slot] = T::add(v[slot], T::mul(x, x));
-      slot = (slot + 1) & (kNV - 1);
+      const V first = T::add(v[0], T::mul(x, x));
+      for (int i = 0; i + 1 < kNV; ++i) v[i] = v[i + 1];
+      v[kNV - 1] = first;
+      ++chunks;
     }
-    R combine() const noexcept {
+    R combine() const {
+      MBQ_ASSERT(chunks % kNV == 0);
       alignas(64) R a[kL];
       for (int i = 0; i < kNV; ++i) T::store(a + i * kW, v[i]);
       return fold_combine<R>(a);

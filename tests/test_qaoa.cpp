@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "mbq/common/bits.h"
+#include "mbq/common/parallel.h"
 #include "mbq/common/rng.h"
 #include "mbq/graph/generators.h"
 #include "mbq/qaoa/analytic.h"
@@ -52,9 +53,10 @@ TEST(Hamiltonian, TermMergingAndCancellation) {
 }
 
 TEST(Hamiltonian, CostTableMatchesEvaluate) {
-  // Bit-exact on every x: consumers fold <C> over the table in place of
-  // per-x evaluate() and promise the same double.  n = 13 puts the table
-  // above kParallelGrain, so a real thread team builds it.
+  // Bit-exact on every x, at every thread budget: consumers fold <C>
+  // over the table in place of per-x evaluate() and promise the same
+  // double.  n = 13 is two kParallelGrain blocks, so at budget 4 a real
+  // thread team builds it.
   Rng rng(1);
   std::vector<std::pair<const char*, CostHamiltonian>> cases;
   cases.emplace_back("maxcut n=6",
@@ -77,11 +79,18 @@ TEST(Hamiltonian, CostTableMatchesEvaluate) {
         {rng.uniform(-1.0, 1.0), {vars.begin(), vars.begin() + 1 + t % 3}});
   }
   cases.emplace_back("pubo", CostHamiltonian::pubo(n, monomials, -0.21));
-  for (const auto& [name, c] : cases) {
-    const auto table = c.cost_table();
-    ASSERT_EQ(table.size(), std::size_t{1} << c.num_qubits()) << name;
-    for (std::uint64_t x = 0; x < table.size(); ++x)
-      ASSERT_EQ(table[x], c.evaluate(x)) << name << " x=" << x;
+  struct ThreadGuard {
+    ~ThreadGuard() { set_num_threads(0); }
+  } guard;
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    for (const auto& [name, c] : cases) {
+      const auto table = c.cost_table();
+      ASSERT_EQ(table.size(), std::size_t{1} << c.num_qubits()) << name;
+      for (std::uint64_t x = 0; x < table.size(); ++x)
+        ASSERT_EQ(table[x], c.evaluate(x))
+            << name << " threads=" << threads << " x=" << x;
+    }
   }
   EXPECT_EQ(cases.back().second.max_order(), 3);
   EXPECT_TRUE(cases[2].second.has_linear_terms());

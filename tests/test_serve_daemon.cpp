@@ -5,7 +5,8 @@
 // single-process local path exactly, including through backpressure,
 // concurrent tenants, protocol-version rejection, a worker SIGKILLed
 // mid-run with a second client attached, and a wedged worker past its
-// deadline.  A failed request must carry the serial loop's error.
+// deadline.  A failed request must carry the serial loop's error, and the
+// fleet must split the thread budget over its workers.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "mbq/api/api.h"
+#include "mbq/common/parallel.h"
 #include "mbq/graph/generators.h"
 #include "mbq/serve/client.h"
 #include "mbq/serve/daemon.h"
@@ -466,17 +468,29 @@ TEST_F(ServeDaemonTest, WedgedWorkerIsKilledAndItsSliceRedispatched) {
   daemon.stop();
 }
 
-// --- one thread per worker ---------------------------------------------
+// --- the fleet's thread split ------------------------------------------
 
-TEST_F(ServeDaemonTest, WorkersRunOnOneThread) {
-  // n = 14 puts the pattern register above the 2^14-amplitude chunk
-  // cutoff, where the simulator kernels open a thread team unless the
-  // worker pinned its kernel threads: a worker that did not would show
-  // one thread per core here.
-  const std::string sock = unix_socket_path("threads");
-  Daemon daemon(daemon_options({"unix:" + sock}, 2));
-  daemon.start();
+/// Restores the build-default thread budget when the test exits.
+struct ThreadBudgetGuard {
+  ~ThreadBudgetGuard() { set_num_threads(0); }
+};
 
+/// The Threads: line of /proc/<pid>/status.
+int os_threads(std::int64_t pid) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  std::string key;
+  int threads = 0;
+  while (status >> key) {
+    if (key == "Threads:") status >> threads;
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return threads;
+}
+
+/// A sample request at n = 14, where the pattern register is above the
+/// 2^14-amplitude chunk cutoff, so a worker with two or more threads
+/// opens a team for its items or for its kernels.
+shard::Request n14_sample_request(std::uint64_t shots) {
   Rng rng(31);
   shard::Request req;
   req.kind = shard::TaskKind::kSample;
@@ -484,22 +498,71 @@ TEST_F(ServeDaemonTest, WorkersRunOnOneThread) {
   req.seed = 5;
   req.workload = Workload::maxcut(random_regular_graph(14, 3, rng));
   req.points = {Angles({0.42}, {0.31})};
-  req.shots = 8;
-  req.end = 8;
-  DaemonClient("unix:" + sock, "threads-test").run(req);
+  req.shots = shots;
+  req.end = shots;
+  return req;
+}
 
-  const DaemonStats stats = daemon.stats();
-  for (const WorkerStats& ws : stats.workers) {
-    ASSERT_GE(ws.slices_done, 1u) << "a worker ran no slice";
-    std::ifstream status("/proc/" + std::to_string(ws.pid) + "/status");
-    std::string key;
-    int threads = 0;
-    while (status >> key) {
-      if (key == "Threads:") status >> threads;
-      status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+TEST_F(ServeDaemonTest, WorkersSplitTheThreadBudget) {
+  // A budget of 4 over W seats: floor(4 / W) threads each, one more for
+  // the first 4 mod W.  Every worker runs a slice, then shows its share
+  // as OS threads (the main thread plus its team's).  A build without
+  // OpenMP has a budget of 1, so every share is 1.
+  ThreadBudgetGuard guard;
+  set_num_threads(4);
+  const std::vector<int> shares[] = {{2, 2}, {2, 1, 1}, {1, 1, 1, 1}};
+  for (const std::vector<int>& share : shares) {
+    const int workers = static_cast<int>(share.size());
+    const std::string sock =
+        unix_socket_path("threads-" + std::to_string(workers));
+    Daemon daemon(daemon_options({"unix:" + sock}, workers));
+    daemon.start();
+    const std::vector<int> want =
+        has_openmp() ? share : std::vector<int>(share.size(), 1);
+    EXPECT_EQ(daemon.worker_threads(), want) << workers << " workers";
+    DaemonClient("unix:" + sock, "threads-test").run(n14_sample_request(8));
+
+    const DaemonStats stats = daemon.stats();
+    ASSERT_EQ(stats.workers.size(), share.size());
+    for (std::size_t i = 0; i < share.size(); ++i) {
+      const WorkerStats& ws = stats.workers[i];
+      ASSERT_GE(ws.slices_done, 1u) << "worker " << i << " ran no slice";
+      EXPECT_EQ(os_threads(ws.pid), want[i])
+          << workers << " workers, seat " << i << " (pid " << ws.pid << ")";
     }
-    EXPECT_EQ(threads, 1) << "worker " << ws.pid;
+    daemon.stop();
   }
+}
+
+TEST_F(ServeDaemonTest, TwoThreadWorkersMatchTheInProcessSession) {
+  // Budget 4 over two seats: each worker runs 2-thread teams — over the
+  // items of a multi-shot slice (24 shots), or inside one item's kernels
+  // (8 shots and the batch points arrive one per slice).  Every result
+  // must equal the in-process Session's bit for bit.
+  ThreadBudgetGuard guard;
+  set_num_threads(4);
+  const std::string sock = unix_socket_path("two-thread");
+  Daemon daemon(daemon_options({"unix:" + sock}, 2));
+  daemon.start();
+  EXPECT_EQ(daemon.worker_threads(),
+            (std::vector<int>(2, has_openmp() ? 2 : 1)));
+
+  const Workload w = n14_sample_request(1).workload;
+  Rng rng(77);
+  std::vector<Angles> points;
+  for (int i = 0; i < 6; ++i) points.push_back(Angles::random(1, rng));
+  Session local(w, "mbqc", local_options(19));
+  Session remote(w, "mbqc", remote_options(19, "unix:" + sock));
+  for (const int shots : {8, 24}) {
+    expect_same_shots(remote.sample(points[0], shots),
+                      local.sample(points[0], shots),
+                      "n=14, " + std::to_string(shots) + " shots");
+  }
+  const std::vector<real> want = local.expectation_batch(points);
+  const std::vector<real> got = remote.expectation_batch(points);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(got[i], want[i]) << "point " << i;
   daemon.stop();
 }
 

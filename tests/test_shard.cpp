@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdlib>
 #include <filesystem>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "mbq/api/api.h"
+#include "mbq/common/parallel.h"
 #include "mbq/common/rng.h"
 #include "mbq/common/serialize.h"
 #include "mbq/graph/generators.h"
@@ -303,6 +306,86 @@ TEST(ShardTask, ErrorsCarryTheLowestFailingIndex) {
   EXPECT_NE(unknown.error_message.find("unknown backend"), std::string::npos);
 }
 
+TEST(ShardTask, WorkerItemsShareATeamFromTheParallelGrain) {
+  // A worker (execute_request) runs a slice's items on a team only when
+  // they hold at least kParallelGrain amplitudes in all (items x 2^n); an
+  // in-process Session runs any two or more items on one.  A probe
+  // backend counts the items that ran inside an active team.
+  static std::atomic<int> on_team{0};
+  class TeamProbe final : public api::Backend {
+   public:
+    std::string name() const override { return "team-probe"; }
+    api::Capabilities capabilities() const override { return {}; }
+    real expectation(const Workload&, const Angles&, Rng&,
+                     const api::Prepared*) const override {
+      record();
+      return 0.0;
+    }
+    std::uint64_t sample_one(const Workload&, const Angles&, Rng&,
+                             const api::Prepared*) const override {
+      record();
+      return 0;
+    }
+
+   private:
+    static void record() {
+#ifdef MBQ_HAS_OPENMP
+      if (omp_in_parallel()) ++on_team;
+#endif
+    }
+  };
+  auto& registry = api::BackendRegistry::instance();
+  if (!registry.contains("team-probe"))
+    registry.add("team-probe", [] { return std::make_shared<TeamProbe>(); });
+  struct ThreadGuard {
+    ~ThreadGuard() { set_num_threads(0); }
+  } guard;
+  set_num_threads(4);
+
+  const struct {
+    int n;
+    std::uint64_t items;
+  } cases[] = {{4, 255}, {4, 256}, {10, 3}, {10, 4}, {12, 1}, {12, 2}};
+  for (const auto& [n, items] : cases) {
+    const int all = static_cast<int>(items);
+    const bool many = has_openmp() && items > 1;
+    const bool worker_team =
+        many && items << n >= std::uint64_t(kParallelGrain);
+    for (const shard::TaskKind kind :
+         {shard::TaskKind::kExpectation, shard::TaskKind::kSample}) {
+      const bool sample = kind == shard::TaskKind::kSample;
+      shard::Request req;
+      req.kind = kind;
+      req.backend = "team-probe";
+      req.workload = Workload::maxcut(cycle_graph(n));
+      if (sample) {
+        req.points = {Angles({0.4}, {0.3})};
+        req.shots = items;
+      } else {
+        req.points.assign(items, Angles({0.4}, {0.3}));
+      }
+      req.end = items;
+      const std::string where = "n=" + std::to_string(n) +
+                                " items=" + std::to_string(items) +
+                                (sample ? " (sample)" : " (expectation)");
+
+      on_team = 0;
+      const shard::Response worker = shard::execute_request(req);
+      ASSERT_TRUE(worker.ok) << worker.error_message;
+      EXPECT_EQ(on_team.load(), worker_team ? all : 0) << "worker, " << where;
+
+      on_team = 0;
+      Session session(req.workload, std::make_shared<TeamProbe>(),
+                      sharded_options(3, 1));
+      if (sample)
+        session.sample(req.points.front(), all);
+      else
+        session.expectation_batch(req.points);
+      EXPECT_EQ(on_team.load(), many ? all : 0) << "session, " << where;
+    }
+  }
+}
+
 // --- process-count invariance ------------------------------------------
 
 TEST(ShardSession, SampleInvariantAcrossProcessCounts) {
@@ -521,6 +604,38 @@ TEST(ShardSession, UnsupportedPointsThrowLikeTheSerialLoop) {
   Session reference(w, "clifford", sharded_options(2, 1));
   EXPECT_EQ(session.expectation(clifford_point),
             reference.expectation(clifford_point));
+}
+
+// --- worker command line -----------------------------------------------
+
+TEST(ShardWorker, TakesItsThreadBudgetAsASecondArgument) {
+  // The budget is required: a missing or extra argument, or anything but
+  // an integer >= 1, is a usage error (exit 2, before the channel is
+  // touched); a valid budget runs the request loop, which ends cleanly
+  // when the parent closes the channel.
+  const std::string path = worker_path();
+  ASSERT_FALSE(path.empty());
+  for (const char* bad : {"0", "-1", "abc", "2x", " 2", "+2", ""}) {
+    const std::string cmd = "'" + path + "' 3 '" + bad + "' 2>/dev/null";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << bad;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << "threads argument " << bad;
+  }
+  for (const char* args : {" 3", " 3 2 2"}) {
+    const std::string cmd = "'" + path + "'" + args + " 2>/dev/null";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << "arguments" << args;
+  }
+  for (const int threads : {1, 2}) {
+    const shard::SpawnedWorker w = shard::spawn_worker(path, threads);
+    ::close(w.fd);
+    int status = 0;
+    ASSERT_EQ(::waitpid(w.pid, &status, 0), w.pid);
+    ASSERT_TRUE(WIFEXITED(status)) << threads;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "threads " << threads;
+  }
+  EXPECT_THROW(shard::spawn_worker(path, 0), Error);
 }
 
 // --- worker death ------------------------------------------------------

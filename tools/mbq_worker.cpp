@@ -1,32 +1,35 @@
 // mbq_worker — the shard worker process entrypoint.
 //
 // Spawned by the serving daemon's fleet (serve/daemon.h) — an mbqd, or
-// the embedded daemon of a process-sharded Session — with one argument:
-// the file descriptor of its AF_UNIX channel to the parent.  The loop is
-// the whole program: read a request frame, execute it
-// (shard::execute_request builds the backend from the registry and
-// replays the slice's Rng streams), write the response frame, repeat
-// until the parent closes the channel.
+// the embedded daemon of a process-sharded Session — with two arguments:
+// the file descriptor of its AF_UNIX channel to the parent, and its
+// thread budget.  The loop is the whole program: read a request frame,
+// execute it (shard::execute_request builds the backend from the
+// registry and replays the slice's Rng streams), write the response
+// frame, repeat until the parent closes the channel.
 //
 // Determinism: requests carry (seed, stream indices), never generator
 // state, so results are independent of which worker runs a slice and of
-// everything this process did before.  Each worker runs on one thread,
-// for shots and simulator kernels alike: the fleet's process count is
-// the parallelism axis, and results are bit-identical regardless.
+// everything this process did before.  The daemon splits its own budget
+// over the fleet, so the workers' teams together fill the cores the
+// daemon may use; results are bit-identical at every budget.
 
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "mbq/api/workload_spec.h"
 #include "mbq/api/workload_spec_json.h"
 #include "mbq/common/parallel.h"
 #include "mbq/shard/protocol.h"
 #include "mbq/shard/task.h"
+#include "mbq/sim/collapse_kernels.h"
 
 namespace {
 
@@ -65,8 +68,9 @@ int main(int argc, char** argv) {
   if (argc == 2 && std::string(argv[1]) == "--decode-spec")
     return decode_spec_stdin();
 
-  if (argc != 2) {
-    std::cerr << "usage: mbq_worker <channel-fd> | mbq_worker --decode-spec\n"
+  if (argc != 3) {
+    std::cerr << "usage: mbq_worker <channel-fd> <threads> | "
+                 "mbq_worker --decode-spec\n"
               << "(spawned by an mbq::serve::Daemon fleet; --decode-spec "
                  "reads a JSON spec on stdin and echoes the canonical form)\n";
     return 2;
@@ -76,12 +80,26 @@ int main(int argc, char** argv) {
     std::cerr << "mbq_worker: invalid channel fd '" << argv[1] << "'\n";
     return 2;
   }
+  int threads = 0;
+  const std::string_view arg = argv[2];
+  const auto [end, ec] =
+      std::from_chars(arg.data(), arg.data() + arg.size(), threads);
+  if (ec != std::errc{} || end != arg.data() + arg.size() || threads < 1) {
+    std::cerr << "mbq_worker: invalid thread count '" << arg << "'\n";
+    return 2;
+  }
 
-  // One thread per worker: the fleet keys its size to the cores it may
-  // use, and an OpenMP team in every child — over shots or inside the
-  // chunked kernels — would oversubscribe the box.  The budget caps
-  // every team (common/parallel.h), the kernel self-check's included.
+  // The kernel dispatch self-check runs on one thread, as it always has
+  // in a worker; then the worker takes its share of the daemon's budget,
+  // which caps every team it opens (common/parallel.h).  A failing
+  // forced flavor throws again at the first request, which answers with
+  // the error.
   set_num_threads(1);
+  try {
+    kernels();
+  } catch (const std::exception&) {
+  }
+  set_num_threads(threads);
 
   try {
     while (true) {

@@ -6,6 +6,9 @@
 //   mbqd --listen unix:/tmp/mbqd.sock --listen tcp:localhost:7711
 //        [--workers 4]
 //
+// The workers split mbqd's thread budget (OMP_NUM_THREADS, default one
+// per core) between them; the startup line reports the split.
+//
 // Stats mode connects to a RUNNING daemon as a client and prints its
 // counters (one shot; wire it to watch(1) for a live view):
 //
@@ -18,6 +21,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -125,8 +129,13 @@ int main(int argc, char** argv) {
     daemon.start();
     for (const serve::Endpoint& ep : daemon.endpoints())
       std::cout << "mbqd: listening on " << ep.to_string() << "\n";
-    std::cout << "mbqd: serving with " << daemon.workers() << " workers\n"
-              << std::flush;
+    const std::vector<int>& threads = daemon.worker_threads();
+    const auto [fewest, most] =
+        std::minmax_element(threads.begin(), threads.end());
+    std::cout << "mbqd: serving with " << daemon.workers() << " workers × "
+              << *fewest;
+    if (*most != *fewest) std::cout << "–" << *most;
+    std::cout << (*most == 1 ? " thread\n" : " threads\n") << std::flush;
 
     struct sigaction sa {};
     sa.sa_handler = on_signal;

@@ -6,10 +6,10 @@
 
 #include <iostream>
 
+#include "mbq/api/session.h"
 #include "mbq/common/rng.h"
 #include "mbq/common/table.h"
 #include "mbq/core/iterative.h"
-#include "mbq/core/protocol.h"
 #include "mbq/graph/generators.h"
 #include "mbq/opt/exact.h"
 #include "mbq/qaoa/analytic.h"
@@ -46,10 +46,9 @@ int main() {
 
     // Plain QAOA at p=1 optimum, best of 64 shots through the protocol.
     const auto p1 = qaoa::maxcut_p1_grid_optimum(cs.g, 32);
-    const core::MbqcQaoaSolver solver(cost);
-    Rng shot_rng(2);
-    const auto plain =
-        solver.best_of(qaoa::Angles({p1.gamma}, {p1.beta}), 64, shot_rng);
+    api::Session session(api::Workload::qaoa(cost), "mbqc", {.seed = 2});
+    const api::Shot plain =
+        session.best_of(qaoa::Angles({p1.gamma}, {p1.beta}), 64);
 
     opt::AnnealOptions sa_opt;
     sa_opt.sweeps = 60;

@@ -6,9 +6,9 @@
 
 #include <iostream>
 
+#include "mbq/api/session.h"
 #include "mbq/common/rng.h"
 #include "mbq/common/table.h"
-#include "mbq/core/protocol.h"
 #include "mbq/graph/generators.h"
 #include "mbq/opt/exact.h"
 #include "mbq/opt/grid.h"
@@ -40,9 +40,6 @@ int main() {
     const auto cost = qaoa::CostHamiltonian::maxcut(cs.g);
     const auto table = cost.cost_table();
     const auto exact = opt::brute_force_maximum(cost);
-    const core::MbqcQaoaSolver solver(cost);
-
-    real prev_ratio = 0.0;
     for (int p : {1, 2, 3}) {
       // Optimize angles on the (fast) gate-model objective.
       auto objective = [&](const std::vector<real>& v) {
@@ -64,12 +61,12 @@ int main() {
       const auto res = opt::nelder_mead(objective, x0, nm, nm_rng);
       const qaoa::Angles best = qaoa::Angles::from_flat(res.x);
 
-      Rng run_rng(p * 7);
-      const real mbqc_val = solver.expectation(best, run_rng);
+      api::Session session(api::Workload::qaoa(cost), "mbqc",
+                           {.seed = std::uint64_t(p * 13)});
+      const real mbqc_val = session.expectation(best);
       const real gate_val = qaoa::qaoa_expectation(cost, best, &table);
       const real ratio = mbqc_val / exact.value;
-      Rng shot_rng(p * 13);
-      const auto best_shot = solver.best_of(best, 64, shot_rng);
+      const api::Shot best_shot = session.best_of(best, 64);
 
       t.row()
           .add(cs.name)
@@ -79,8 +76,6 @@ int main() {
           .add(exact.value, 4)
           .add(ratio, 5)
           .add(best_shot.cost, 4);
-      prev_ratio = ratio;
-      (void)prev_ratio;
     }
   }
   t.print(std::cout);

@@ -87,15 +87,6 @@ BENCHMARK(BM_PatternCompile)->DenseRange(8, 60, 26);
 // op tape on one reused arena whose fused gadget/teleport kernels never
 // materialize the doubled register.  (Outcome streams are bit-identical
 // — test_compiled_pattern asserts it; the table below only times it.)
-//
-// Baselines, measured on the reference box (see
-// BENCH_pattern_executor.json): the compiled row is > 2x the per-shot
-// mbqc::run hot path this executor replaced (which also re-allocated
-// its arena per measure), and ~1.6x the in-tree run_interpreted row
-// below — run_interpreted itself inherited this change's simulator
-// kernel upgrades (ping-pong collapse buffers, dedicated X/Z kernels,
-// inlined complex products), so it is a strictly harder baseline than
-// what shipped before.
 void BM_PatternRunInterpreted(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(3);

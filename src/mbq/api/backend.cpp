@@ -1,7 +1,5 @@
 #include "mbq/api/backend.h"
 
-#include "mbq/common/error.h"
-
 namespace mbq::api {
 
 std::string Backend::unsupported_reason(const Workload& w,
@@ -16,8 +14,7 @@ std::string Backend::unsupported_reason(const Workload& w,
   if (w.ansatz() == AnsatzKind::MisConstrained && !caps.supports_mis_ansatz)
     return name() + " does not support the MIS ansatz";
   if ((w.ansatz() == AnsatzKind::CustomCircuit ||
-       w.ansatz() == AnsatzKind::ParamCircuit ||
-       w.ansatz() == AnsatzKind::Registered) &&
+       w.ansatz() == AnsatzKind::ParamCircuit) &&
       !caps.supports_custom_ansatz)
     return name() + " does not support custom ansatz circuits";
   if (caps.max_term_order > 0 && w.cost().max_order() > caps.max_term_order)
@@ -38,21 +35,6 @@ std::shared_ptr<const Prepared> Backend::prepare(const Workload& w,
   (void)w;
   (void)a;
   return nullptr;
-}
-
-std::vector<std::uint64_t> Backend::sample(const Workload& w,
-                                           const qaoa::Angles& a, int shots,
-                                           Rng& rng,
-                                           const Prepared* prep) const {
-  MBQ_REQUIRE(shots >= 1, "need at least one shot, got " << shots);
-  std::shared_ptr<const Prepared> local;
-  if (prep == nullptr) {
-    local = prepare(w, a);
-    prep = local.get();
-  }
-  std::vector<std::uint64_t> out(static_cast<std::size_t>(shots));
-  for (auto& x : out) x = sample_one(w, a, rng, prep);
-  return out;
 }
 
 }  // namespace mbq::api

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "mbq/api/workload.h"
 #include "mbq/common/rng.h"
@@ -95,18 +94,12 @@ class Backend {
   virtual real expectation(const Workload& w, const qaoa::Angles& a, Rng& rng,
                            const Prepared* prep = nullptr) const = 0;
 
-  /// One measurement of the problem register.
+  /// One measurement of the problem register.  Shots are drawn by
+  /// Session::sample, which gives shot s of call k the stream
+  /// rng.stream(k).stream(s).
   virtual std::uint64_t sample_one(const Workload& w, const qaoa::Angles& a,
                                    Rng& rng,
                                    const Prepared* prep = nullptr) const = 0;
-
-  /// `shots` measurements; the default loops sample_one on one rng (the
-  /// thread-count-independent batched path lives in Session::sample).
-  virtual std::vector<std::uint64_t> sample(const Workload& w,
-                                            const qaoa::Angles& a, int shots,
-                                            Rng& rng,
-                                            const Prepared* prep = nullptr)
-      const;
 };
 
 }  // namespace mbq::api

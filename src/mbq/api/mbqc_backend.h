@@ -6,8 +6,8 @@
 // the pattern is deterministic, expectation() needs a single adaptive
 // run, whose output distribution it folds against the workload's shared
 // cost table (Workload::cost_table(), built on first use; 2^n doubles);
-// sample() re-executes the full protocol per shot, exactly as hardware
-// would, and never builds the table.  CorrectionMode selects between
+// sample_one() re-executes the full protocol per shot, exactly as
+// hardware would, and never builds the table.  CorrectionMode selects between
 // quantum terminal corrections and classical post-processing of the X
 // byproduct parities (Z byproducts do not affect computational-basis
 // statistics; in classical mode expectation() reads the table at the

@@ -97,24 +97,6 @@ Session::Session(Workload workload, std::shared_ptr<Backend> backend,
       rng_(options.seed) {
   MBQ_REQUIRE(backend_ != nullptr, "Session needs a backend");
   MBQ_REQUIRE(options_.cache_capacity >= 1, "cache capacity must be >= 1");
-  if (options_.entangler_noise != 0.0) {
-    MBQ_REQUIRE(workload_.entangler_noise() == 0.0 ||
-                    workload_.entangler_noise() == options_.entangler_noise,
-                "SessionOptions::entangler_noise = "
-                    << options_.entangler_noise
-                    << " conflicts with the workload's own noise level "
-                    << workload_.entangler_noise());
-    workload_.with_entangler_noise(options_.entangler_noise);
-  }
-  if (options_.precision != Precision::F64) {
-    MBQ_REQUIRE(workload_.precision() == Precision::F64 ||
-                    workload_.precision() == options_.precision,
-                "SessionOptions::precision = "
-                    << precision_name(options_.precision)
-                    << " conflicts with the workload's own precision "
-                    << precision_name(workload_.precision()));
-    workload_.with_precision(options_.precision);
-  }
   num_processes_ = resolve_num_processes(options_.num_processes);
   daemon_endpoint_ = options_.daemon_endpoint;
   if (daemon_endpoint_.empty())

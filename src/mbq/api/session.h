@@ -116,7 +116,7 @@ struct SessionOptions {
   /// Explicit path to the mbq_worker executable; empty uses
   /// shard::resolve_worker_path's search ($MBQ_WORKER, then next to the
   /// running executable).
-  std::string worker_path;
+  std::string worker_path{};
   /// Endpoint of a running mbqd serving daemon ("unix:/path" or
   /// "tcp:host:port"); empty (the default) reads the MBQ_DAEMON_ENDPOINT
   /// environment variable, and when that is unset too the session runs
@@ -127,26 +127,7 @@ struct SessionOptions {
   /// results are bit-identical to local execution.  Remote mode never
   /// falls back silently — an unreachable daemon, a version mismatch, or
   /// a workload that cannot cross a process boundary is a loud Error.
-  std::string daemon_endpoint;
-  /// Entangler-noise probability for the workload's measurement-based
-  /// execution (mbqc/runner.h's depolarizing channel).  0 leaves the
-  /// workload untouched; > 0 applies Workload::with_entangler_noise at
-  /// construction — a convenience so callers can dial noise per Session
-  /// without rebuilding the workload.  Throws if the workload already
-  /// carries a DIFFERENT non-zero noise level (ambiguous intent).  Noise
-  /// draws live on the same per-shot rng streams as everything else, so
-  /// noisy results keep the full determinism contract below — including
-  /// bit-identical process-sharded execution.
-  real entangler_noise = 0.0;
-  /// Statevector storage precision for the workload's measurement-based
-  /// execution.  F64 (the default) leaves the workload untouched; F32
-  /// applies Workload::with_precision at construction.  Throws if the
-  /// workload already carries a different non-default precision
-  /// (ambiguous intent).  f32 runs are deterministic within the
-  /// precision — the full contract below holds, including bit-identical
-  /// sharded and remote execution — but are NOT bit-comparable to f64
-  /// runs of the same workload.
-  Precision precision = Precision::F64;
+  std::string daemon_endpoint{};
 };
 
 struct Shot {

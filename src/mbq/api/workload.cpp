@@ -1,26 +1,10 @@
 #include "mbq/api/workload.h"
 
-#include "mbq/api/ansatz_registry.h"
 #include "mbq/common/error.h"
 #include "mbq/core/mis.h"
 #include "mbq/qaoa/mixers.h"
 
 namespace mbq::api {
-
-Workload::Workload(WorkloadSpec spec) : spec_(std::move(spec)) {
-  if (spec_.kind != AnsatzKind::Registered) return;
-  const AnsatzKindHooks hooks =
-      AnsatzKindRegistry::instance().hooks(spec_.registered_name);
-  qaoa::ParamCircuit built = hooks.build(spec_);
-  MBQ_REQUIRE(built.num_qubits() == num_qubits(),
-              "registered ansatz '" << spec_.registered_name
-                                    << "' built a circuit on "
-                                    << built.num_qubits()
-                                    << " qubits, cost acts on "
-                                    << num_qubits());
-  registered_circuit_ =
-      std::make_shared<const qaoa::ParamCircuit>(std::move(built));
-}
 
 Workload Workload::qaoa(qaoa::CostHamiltonian cost) {
   WorkloadSpec spec;
@@ -84,18 +68,6 @@ Workload Workload::custom(qaoa::CostHamiltonian cost, CircuitBuilder builder) {
   Workload w(std::move(spec));
   w.circuit_ = std::move(builder);
   return w;
-}
-
-Workload Workload::registered(std::string name, qaoa::CostHamiltonian cost,
-                              std::vector<int> ints, std::vector<real> reals) {
-  WorkloadSpec spec;
-  spec.kind = AnsatzKind::Registered;
-  spec.cost = std::move(cost);
-  spec.registered_name = std::move(name);
-  spec.registered_ints = std::move(ints);
-  spec.registered_reals = std::move(reals);
-  spec.validate();  // resolves the name and runs the kind's own checks
-  return Workload(std::move(spec));
 }
 
 Workload Workload::from_spec(WorkloadSpec spec) {
@@ -196,11 +168,6 @@ Statevector Workload::reference_state(const qaoa::Angles& a) const {
       spec_.circuit->instantiate(a).apply_to(sv);
       return sv;
     }
-    case AnsatzKind::Registered: {
-      Statevector sv = Statevector::all_plus(num_qubits());
-      registered_circuit_->instantiate(a).apply_to(sv);
-      return sv;
-    }
     case AnsatzKind::CustomCircuit: {
       Statevector sv = Statevector::all_plus(num_qubits());
       circuit_(a).apply_to(sv);
@@ -224,9 +191,6 @@ core::CompiledPattern Workload::compile_pattern(const qaoa::Angles& a,
     case AnsatzKind::ParamCircuit:
       return core::compile_circuit_tailored(spec_.circuit->instantiate(a),
                                             options);
-    case AnsatzKind::Registered:
-      return core::compile_circuit_tailored(
-          registered_circuit_->instantiate(a), options);
     case AnsatzKind::CustomCircuit:
       return core::compile_circuit_tailored(circuit_(a), options);
   }

@@ -25,12 +25,6 @@
 //                    |+...+> (XY-mixer colorings of Sec. V, HEA, ...),
 //                    held as a qaoa::ParamCircuit gate list: value
 //                    semantics, serializable, shardable;
-//   Registered     — an ansatz kind resolved by name through
-//                    api::AnsatzKindRegistry (ansatz_registry.h): the
-//                    spec carries the name and a generic int/real
-//                    payload; the registry's hooks build the declarative
-//                    circuit.  Pure data — serializes, fingerprints, and
-//                    (for library-registered names) shards;
 //   CustomCircuit  — the std::function escape hatch: an arbitrary
 //                    angle-parameterized builder acting on |+...+>.  The
 //                    closure cannot cross a process boundary, so custom
@@ -41,9 +35,8 @@
 // key on.
 //
 // Thread safety: every const method may run concurrently on one
-// Workload (Session prepares batch points in parallel).  A Registered
-// kind's circuit is built once, when the workload is; the 2^n cost
-// table stays lazy behind std::call_once.
+// Workload (Session prepares batch points in parallel).  The 2^n cost
+// table is built lazily behind std::call_once.
 
 #include <functional>
 #include <memory>
@@ -93,13 +86,6 @@ class Workload {
   /// serialized or sharded — prefer parameterized() when the ansatz can
   /// be written as a gate list.
   static Workload custom(qaoa::CostHamiltonian cost, CircuitBuilder builder);
-  /// Ansatz kind registered by name in api::AnsatzKindRegistry; the
-  /// int/real payload's meaning is defined by the kind's hooks (e.g.
-  /// "hea-line" reads ints = {layers}).  Validates eagerly, including
-  /// the kind's own payload validation.
-  static Workload registered(std::string name, qaoa::CostHamiltonian cost,
-                             std::vector<int> ints = {},
-                             std::vector<real> reals = {});
   /// Rebuild from a declarative spec (validated; throws on inconsistent
   /// specs, and on CustomCircuit kinds — the closure cannot travel).
   static Workload from_spec(WorkloadSpec spec);
@@ -175,8 +161,7 @@ class Workload {
                                         bool final_corrections) const;
 
  private:
-  /// Builds a Registered kind's circuit from the spec.
-  explicit Workload(WorkloadSpec spec);
+  explicit Workload(WorkloadSpec spec) : spec_(std::move(spec)) {}
 
   struct CostTable {
     std::once_flag once;
@@ -185,8 +170,6 @@ class Workload {
 
   WorkloadSpec spec_;
   CircuitBuilder circuit_;  // CustomCircuit escape hatch only
-  // Built circuit of a Registered ansatz (null for other kinds).
-  std::shared_ptr<const qaoa::ParamCircuit> registered_circuit_;
   // cost_table()'s memo; copies share it, and no setter changes the cost.
   std::shared_ptr<CostTable> table_ = std::make_shared<CostTable>();
 };

@@ -1,6 +1,5 @@
 #include "mbq/api/workload_spec.h"
 
-#include "mbq/api/ansatz_registry.h"
 #include "mbq/common/error.h"
 
 namespace mbq::api {
@@ -11,14 +10,17 @@ std::string ansatz_kind_name(AnsatzKind k) {
     case AnsatzKind::MisConstrained: return "mis";
     case AnsatzKind::CustomCircuit: return "custom";
     case AnsatzKind::ParamCircuit: return "param-circuit";
-    case AnsatzKind::Registered: return "registered";
   }
   return "?";
 }
 
+std::string ansatz_kind_listing() {
+  return "qaoa, mis, custom, param-circuit";
+}
+
 void WorkloadSpec::validate() const {
   const auto k = static_cast<std::uint8_t>(kind);
-  MBQ_REQUIRE(k <= static_cast<std::uint8_t>(AnsatzKind::Registered),
+  MBQ_REQUIRE(k <= static_cast<std::uint8_t>(AnsatzKind::ParamCircuit),
               "invalid ansatz kind " << int{k} << " (known kinds: "
                                      << ansatz_kind_listing() << ")");
   const auto style = static_cast<std::uint8_t>(linear_style);
@@ -64,21 +66,6 @@ void WorkloadSpec::validate() const {
     MBQ_REQUIRE(circuit == nullptr,
                 "only param-circuit specs carry a declarative circuit "
                 "(kind is " << ansatz_kind_name(kind) << ")");
-  }
-  if (kind == AnsatzKind::Registered) {
-    MBQ_REQUIRE(!registered_name.empty(),
-                "registered spec needs an ansatz kind name (known kinds: "
-                    << ansatz_kind_listing() << ")");
-    // Throws with the registered-name listing when the name is unknown,
-    // then runs the kind's own payload validation.
-    const AnsatzKindHooks hooks =
-        AnsatzKindRegistry::instance().hooks(registered_name);
-    if (hooks.validate) hooks.validate(*this);
-  } else {
-    MBQ_REQUIRE(registered_name.empty() && registered_ints.empty() &&
-                    registered_reals.empty(),
-                "only registered specs carry a kind name / payload (kind is "
-                    << ansatz_kind_name(kind) << ")");
   }
 }
 
@@ -190,11 +177,6 @@ void encode_spec(ByteWriter& out, const WorkloadSpec& spec) {
     case AnsatzKind::ParamCircuit:
       encode_circuit(out, *spec.circuit);
       break;
-    case AnsatzKind::Registered:
-      out.str(spec.registered_name);
-      out.i32_vec(spec.registered_ints);
-      out.f64_vec(spec.registered_reals);
-      break;
     case AnsatzKind::CustomCircuit:
       break;  // unreachable: guarded above
   }
@@ -203,7 +185,7 @@ void encode_spec(ByteWriter& out, const WorkloadSpec& spec) {
 WorkloadSpec decode_spec(ByteReader& in) {
   WorkloadSpec spec;
   const std::uint8_t kind = in.u8();
-  MBQ_REQUIRE(kind <= static_cast<std::uint8_t>(AnsatzKind::Registered) &&
+  MBQ_REQUIRE(kind <= static_cast<std::uint8_t>(AnsatzKind::ParamCircuit) &&
                   kind != static_cast<std::uint8_t>(AnsatzKind::CustomCircuit),
               "malformed spec frame: ansatz kind " << int{kind}
                                                    << " (known kinds: "
@@ -232,11 +214,6 @@ WorkloadSpec decode_spec(ByteReader& in) {
     case AnsatzKind::ParamCircuit:
       spec.circuit =
           std::make_shared<const qaoa::ParamCircuit>(decode_circuit(in));
-      break;
-    case AnsatzKind::Registered:
-      spec.registered_name = in.str();
-      spec.registered_ints = in.i32_vec();
-      spec.registered_reals = in.f64_vec();
       break;
     case AnsatzKind::CustomCircuit:
       break;  // unreachable: guarded above

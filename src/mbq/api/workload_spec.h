@@ -40,15 +40,11 @@ enum class AnsatzKind : std::uint8_t {
   MisConstrained,
   CustomCircuit,
   ParamCircuit,
-  /// A kind resolved by name through api::AnsatzKindRegistry: the spec
-  /// carries the name plus a generic int/real payload, and the registry's
-  /// hooks validate the payload and build the declarative circuit.  Pure
-  /// data, so it serializes, fingerprints, and (for library-registered
-  /// names) shards — unlike the CustomCircuit closure escape hatch.
-  Registered,
 };
 
 std::string ansatz_kind_name(AnsatzKind k);
+/// Every ansatz kind name, comma separated, for error messages.
+std::string ansatz_kind_listing();
 
 struct WorkloadSpec {
   AnsatzKind kind = AnsatzKind::QaoaDiagonal;
@@ -61,13 +57,6 @@ struct WorkloadSpec {
 
   /// ParamCircuit: the declarative ansatz (never null for that kind).
   std::shared_ptr<const qaoa::ParamCircuit> circuit;
-
-  /// Registered: the AnsatzKindRegistry key plus the kind's generic
-  /// payload (meaning defined by the kind's hooks — e.g. hea-line reads
-  /// registered_ints = {layers}).
-  std::string registered_name;
-  std::vector<int> registered_ints;
-  std::vector<real> registered_reals;
 
   // --- compile / execution options ------------------------------------
   core::LinearTermStyle linear_style = core::LinearTermStyle::Gadget;

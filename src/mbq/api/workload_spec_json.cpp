@@ -3,7 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "mbq/api/ansatz_registry.h"
 #include "mbq/common/error.h"
 #include "mbq/common/json.h"
 
@@ -12,7 +11,6 @@ namespace mbq::api {
 namespace {
 
 using json::field;
-using json::json_escape;
 using json::JsonArray;
 using json::JsonObject;
 using json::JsonValue;
@@ -33,7 +31,6 @@ const char* ansatz_json_name(api::AnsatzKind k) {
     case api::AnsatzKind::QaoaDiagonal: return "qaoa";
     case api::AnsatzKind::MisConstrained: return "mis";
     case api::AnsatzKind::ParamCircuit: return "param-circuit";
-    case api::AnsatzKind::Registered: return "registered";
     case api::AnsatzKind::CustomCircuit: break;
   }
   throw Error("custom-circuit specs do not serialize");
@@ -43,7 +40,6 @@ api::AnsatzKind ansatz_from_json_name(const std::string& s) {
   if (s == "qaoa") return api::AnsatzKind::QaoaDiagonal;
   if (s == "mis") return api::AnsatzKind::MisConstrained;
   if (s == "param-circuit") return api::AnsatzKind::ParamCircuit;
-  if (s == "registered") return api::AnsatzKind::Registered;
   throw Error("JSON spec: unknown ansatz kind '" + s + "' (known kinds: " +
               api::ansatz_kind_listing() + "; custom does not serialize)");
 }
@@ -202,17 +198,6 @@ std::string spec_to_json(const api::WorkloadSpec& spec) {
       os << "  }";
       break;
     }
-    case api::AnsatzKind::Registered: {
-      os << ",\n  \"registered\": {\n";
-      os << "    \"name\": \"" << json_escape(spec.registered_name)
-         << "\",\n";
-      os << "    \"ints\": ";
-      emit_int_array(os, spec.registered_ints);
-      os << ",\n    \"reals\": ";
-      emit_real_array(os, spec.registered_reals);
-      os << "\n  }";
-      break;
-    }
     case api::AnsatzKind::CustomCircuit:
       break;  // unreachable: guarded above
   }
@@ -295,13 +280,6 @@ api::WorkloadSpec spec_from_json(const std::string& text) {
       }
       spec.circuit =
           std::make_shared<const qaoa::ParamCircuit>(std::move(pc));
-      break;
-    }
-    case api::AnsatzKind::Registered: {
-      const JsonObject& robj = field(obj, "registered").object();
-      spec.registered_name = field(robj, "name").str();
-      spec.registered_ints = read_int_array(field(robj, "ints"));
-      spec.registered_reals = read_real_array(field(robj, "reals"));
       break;
     }
     case api::AnsatzKind::CustomCircuit:

@@ -5,7 +5,7 @@
 
 #include "mbq/common/bits.h"
 #include "mbq/common/error.h"
-#include "mbq/core/protocol.h"
+#include "mbq/core/compiler.h"
 #include "mbq/mbqc/runner.h"
 #include "mbq/opt/exact.h"
 #include "mbq/qaoa/qaoa.h"
@@ -53,8 +53,7 @@ WeightMap mbqc_correlations(int k, const WeightMap& w,
     }
   }
   // One adaptive MBQC run; determinism makes the state exact.
-  const MbqcQaoaSolver solver(cost);
-  const CompiledPattern cp = solver.compile(best);
+  const CompiledPattern cp = compile_qaoa(cost, best);
   const mbqc::RunResult r = mbqc::run(cp.pattern, rng);
   WeightMap corr;
   for (const auto& [e, wt] : w) {

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "mbq/api/ansatz_registry.h"
 #include "mbq/common/error.h"
 
 namespace mbq::shard {
@@ -30,13 +29,6 @@ std::string unshardable_reason(const api::Workload& w) {
   if (w.has_custom_builder())
     return "custom-circuit workloads hold an arbitrary CircuitBuilder "
            "closure that cannot cross a process boundary";
-  if (w.ansatz() == api::AnsatzKind::Registered &&
-      !api::AnsatzKindRegistry::instance().is_builtin(
-          w.spec().registered_name))
-    return "ansatz kind '" + w.spec().registered_name +
-           "' is registered in this process only; a freshly exec'd worker "
-           "could not resolve it (library-registered kinds shard, runtime "
-           "registrations execute in-process)";
   return {};
 }
 

@@ -328,7 +328,9 @@ TEST(Parallel, SetNumThreadsRestoresTheStartupDefault) {
   // Overrides must not contaminate the recorded default.
   set_num_threads(2);
   EXPECT_EQ(default_num_threads(), startup_default);
-  if (has_openmp()) EXPECT_EQ(num_threads(), 2);
+  if (has_openmp()) {
+    EXPECT_EQ(num_threads(), 2);
+  }
 
   set_num_threads(3);
   EXPECT_EQ(default_num_threads(), startup_default);

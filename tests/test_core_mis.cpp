@@ -7,7 +7,6 @@
 
 #include "mbq/common/rng.h"
 #include "mbq/core/mis.h"
-#include "mbq/core/protocol.h"
 #include "mbq/graph/generators.h"
 #include "mbq/mbqc/runner.h"
 #include "mbq/opt/exact.h"

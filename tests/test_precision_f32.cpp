@@ -282,10 +282,8 @@ TEST(PrecisionF32, SessionRunsF32EndToEndAndTracksF64) {
   Rng setup(17);
   const qaoa::Angles angles = qaoa::Angles::random(2, setup);
   const auto make = [&](Precision p) {
-    api::SessionOptions options;
-    options.precision = p;
-    return api::Session(api::Workload::maxcut(cycle_graph(6)), "mbqc",
-                        options);
+    return api::Session(
+        api::Workload::maxcut(cycle_graph(6)).with_precision(p), "mbqc");
   };
 
   auto s64 = make(Precision::F64);

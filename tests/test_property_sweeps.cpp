@@ -12,7 +12,6 @@
 #include "mbq/common/bits.h"
 #include "mbq/common/rng.h"
 #include "mbq/core/compiler.h"
-#include "mbq/core/protocol.h"
 #include "mbq/graph/generators.h"
 #include "mbq/linalg/unitaries.h"
 #include "mbq/mbqc/compiled.h"
@@ -170,9 +169,9 @@ TEST_P(WeightedMaxcutSweep, WeightedInstancesReproduce) {
   }
   // And the MBQC protocol reproduces <C>.
   const qaoa::Angles a = qaoa::Angles::random(2, rng);
-  const core::MbqcQaoaSolver solver(cost);
   Rng run_rng(GetParam() + 100);
-  ASSERT_NEAR(solver.expectation(a, run_rng),
+  ASSERT_NEAR(api::MbqcBackend().expectation(api::Workload::qaoa(cost), a,
+                                             run_rng, nullptr),
               qaoa::qaoa_expectation(cost, a), 1e-9);
 }
 
@@ -414,10 +413,11 @@ TEST_P(SpecRoundTripSweep, SerializedSpecExecutesBitIdentically) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(session.expectation(c.a)),
                 std::bit_cast<std::uint64_t>(want_e))
           << c.label << " @" << processes << "p seed " << seed;
-      if (processes > 1)
+      if (processes > 1) {
         EXPECT_GT(session.shard_workers(), 0)
             << c.label << " @" << processes
             << "p: serializable workloads must not fall back";
+      }
     }
   }
 }

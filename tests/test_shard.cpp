@@ -726,8 +726,9 @@ TEST(ShardSession, ErrorsAndCountersAreTheSameInEveryMode) {
     out.after_eval = s.expectation(good[0]);
     out.hits = s.cache_hits();
     out.misses = s.cache_misses();
-    if (o.num_processes > 1)
+    if (o.num_processes > 1) {
       EXPECT_EQ(s.shard_workers(), o.num_processes) << mode;
+    }
     return out;
   };
 

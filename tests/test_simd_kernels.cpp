@@ -71,6 +71,13 @@ struct IsaGuard {
   }
 };
 
+/// Restores the thread budget no matter how a test exits.
+struct ThreadGuard {
+  int saved;
+  ThreadGuard() : saved(num_threads()) {}
+  ~ThreadGuard() { set_num_threads(saved); }
+};
+
 std::vector<cplx> random_amps(Rng& rng, std::size_t n) {
   std::vector<cplx> v(n);
   for (auto& a : v)
@@ -263,39 +270,71 @@ TEST(SimdKernels, StatevectorScriptBitIdenticalAcrossIsas) {
 // the per-shot measurement outcome streams must be identical under every
 // flavor — the property the shard merge layer relies on when a fleet
 // mixes hosts.  The forced-scalar leg always runs, even on hosts with
-// no vector unit.
+// no vector unit.  The second input's peak register (15 wires: p = 2
+// MaxCut on C14) lies above thr::kChunkCutoffDim, so its sweeps run
+// chunked, and each flavor × thread count × precision must replay the
+// scalar single-threaded tape at the same precision bit for bit.
 TEST(SimdKernels, SampledStreamsIdenticalAcrossIsas) {
   IsaGuard guard;
+  ThreadGuard thread_guard;
   Rng setup(5);
   const qaoa::Angles angles = qaoa::Angles::random(2, setup);
-  const auto cost = qaoa::CostHamiltonian::maxcut(cycle_graph(6));
-  const auto compiled = std::make_shared<const mbqc::CompiledPattern>(
-      core::compile_qaoa(cost, angles).pattern);
+  const auto compile = [&](int n) {
+    const auto cost = qaoa::CostHamiltonian::maxcut(cycle_graph(n));
+    return std::make_shared<const mbqc::CompiledPattern>(
+        core::compile_qaoa(cost, angles).pattern);
+  };
 
   struct Leg {
     std::vector<std::uint64_t> xs;
     std::vector<std::vector<int>> outcomes;
+    int peak_live = 0;
   };
-  auto run_leg = [&](SimdIsa isa, std::uint64_t seed) {
+  auto run_leg = [&](const std::shared_ptr<const mbqc::CompiledPattern>& cp,
+                     const mbqc::ExecOptions& opts, SimdIsa isa,
+                     std::uint64_t seed, int shots) {
     force_simd_isa(isa);
     Leg leg;
-    mbqc::PatternExecutor exec(compiled);
+    mbqc::PatternExecutor exec(cp, opts);
     Rng rng(seed);
-    for (int shot = 0; shot < 32; ++shot) {
-      leg.xs.push_back(exec.run_sample(rng).x);
+    for (int shot = 0; shot < shots; ++shot) {
+      const auto sampled = exec.run_sample(rng);
+      leg.xs.push_back(sampled.x);
       leg.outcomes.push_back(exec.last_outcomes());
+      leg.peak_live = std::max(leg.peak_live, sampled.peak_live);
     }
     return leg;
   };
 
+  const auto small = compile(6);
   for (std::uint64_t seed : {101u, 202u, 303u}) {
-    const Leg want = run_leg(SimdIsa::Scalar, seed);
+    const Leg want = run_leg(small, {}, SimdIsa::Scalar, seed, 32);
     for (SimdIsa isa : supported_simd_isas()) {
-      const Leg got = run_leg(isa, seed);
+      const Leg got = run_leg(small, {}, isa, seed, 32);
       SCOPED_TRACE(std::string("isa=") + isa_name(isa) +
                    " seed=" + std::to_string(seed));
       EXPECT_EQ(want.xs, got.xs);
       EXPECT_EQ(want.outcomes, got.outcomes);
+    }
+  }
+
+  const auto large = compile(14);
+  for (Precision prec : {Precision::F64, Precision::F32}) {
+    mbqc::ExecOptions opts;
+    opts.precision = prec;
+    set_num_threads(1);
+    const Leg want = run_leg(large, opts, SimdIsa::Scalar, 17, 2);
+    ASSERT_GT(std::uint64_t{1} << want.peak_live, thr::kChunkCutoffDim);
+    for (SimdIsa isa : supported_simd_isas()) {
+      for (int threads : {1, 2, 3}) {
+        if (isa == SimdIsa::Scalar && threads == 1) continue;
+        set_num_threads(threads);
+        const Leg got = run_leg(large, opts, isa, 17, 2);
+        SCOPED_TRACE(std::string("n=14 isa=") + isa_name(isa) + " threads=" +
+                     std::to_string(threads) + " " + precision_name(prec));
+        EXPECT_EQ(want.xs, got.xs);
+        EXPECT_EQ(want.outcomes, got.outcomes);
+      }
     }
   }
 }
@@ -423,13 +462,6 @@ TEST(SimdKernels, RandomizedRangedKernelsMatchScalarBitwise) {
 }
 
 // --- chunked / threaded drivers ----------------------------------------
-
-/// Restores the thread budget no matter how a test exits.
-struct ThreadGuard {
-  int saved;
-  ThreadGuard() : saved(num_threads()) {}
-  ~ThreadGuard() { set_num_threads(saved); }
-};
 
 // Every thr:: driver at the chunk cutoff, for every host flavor, at
 // thread counts {1, 2, 3, 8}: bit-identical to the scalar

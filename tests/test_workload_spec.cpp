@@ -1,10 +1,10 @@
 // The declarative WorkloadSpec IR: PUBO / weighted-MIS frontends,
 // declarative ParamCircuit ansätze, the entangler-noise knob, the exact
 // binary codec, the canonical JSON text codec (byte-stable round trips,
-// exact f64 reproduction, strict malformed-input rejection), the
-// registry-pluggable Registered ansatz kind, and — the acceptance bar —
-// process-sharded execution of every serializable ansatz kind
-// bit-identical to the in-process path with NO silent fallback.
+// exact f64 reproduction, strict malformed-input rejection), and — the
+// acceptance bar — process-sharded execution of every serializable
+// ansatz kind bit-identical to the in-process path with NO silent
+// fallback.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "mbq/api/ansatz_registry.h"
 #include "mbq/api/api.h"
 #include "mbq/api/workload_spec_json.h"
 #include "mbq/common/bits.h"
@@ -201,6 +200,10 @@ TEST(WorkloadSpecApi, AccessorsThrowDescriptivelyOnWrongKind) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("qaoa"), std::string::npos)
         << "throw message should name the actual ansatz: " << e.what();
+    EXPECT_NE(std::string(e.what()).find("known kinds: " +
+                                         api::ansatz_kind_listing()),
+              std::string::npos)
+        << "throw message should list every kind: " << e.what();
   }
   EXPECT_THROW(w.mis_weights(), Error);
   EXPECT_THROW(w.param_circuit(), Error);
@@ -410,6 +413,18 @@ TEST(SpecCodec, RejectsMalformedFrames) {
   auto trailing = frame;
   trailing.push_back(std::byte{0});
   EXPECT_THROW(api::parse_spec(trailing), Error);
+
+  // Kind byte 4 is unassigned: a frame that earlier versions decoded
+  // (the hea-line name and {layers} payload after the cost) must not.
+  auto registered = api::serialize_spec(Workload::qaoa(ring_cost(3)).spec());
+  registered[0] = std::byte{4};
+  ByteWriter hea_line;
+  hea_line.str("hea-line");
+  hea_line.i32_vec(std::vector<int>{1});
+  hea_line.f64_vec(std::vector<real>{});
+  const auto payload = hea_line.take();
+  registered.insert(registered.end(), payload.begin(), payload.end());
+  EXPECT_THROW(api::parse_spec(registered), Error);
 }
 
 TEST(SpecCodec, RoundTrippedWorkloadExecutesBitIdentically) {
@@ -519,25 +534,9 @@ TEST(NoiseKnob, RouterRoutesNoisyWorkloadsToMbqc) {
             "mbqc-classical");
 }
 
-TEST(NoiseKnob, SessionOptionAppliesAndConflictsThrow) {
-  const Graph g = cycle_graph(4);
-  const Angles a({0.5}, {0.3});
-  SessionOptions with_noise = session_options(9, 1);
-  with_noise.entangler_noise = 0.2;
-  Session via_option(Workload::maxcut(g), "mbqc", with_noise);
-  EXPECT_EQ(via_option.workload().entangler_noise(), 0.2);
-  Session via_workload(
-      Workload::maxcut(g).with_entangler_noise(0.2), "mbqc",
-      session_options(9, 1));
-  expect_same_shots(via_option.sample(a, 24), via_workload.sample(a, 24),
-                    "option vs workload noise");
-
-  SessionOptions conflicting = session_options(9, 1);
-  conflicting.entangler_noise = 0.3;
-  EXPECT_THROW(Session(Workload::maxcut(g).with_entangler_noise(0.2), "mbqc",
-                       conflicting),
+TEST(NoiseKnob, OutOfRangeProbabilityThrows) {
+  EXPECT_THROW(Workload::maxcut(cycle_graph(4)).with_entangler_noise(1.5),
                Error);
-  EXPECT_THROW(Workload::maxcut(g).with_entangler_noise(1.5), Error);
 }
 
 TEST(NoiseKnob, NoisySamplingIsThreadCountInvariant) {
@@ -749,7 +748,6 @@ TEST(SpecJson, RoundTripsEveryKindByteStably) {
         pc.controlled_exp_x(0, {1}, Param::beta(0, 1.0), 1);
         return pc;
       }()).spec(),
-      Workload::registered("hea-line", ring_cost(3), {2}).spec(),
   };
   for (const WorkloadSpec& spec : specs) {
     const std::string text = spec_to_json(spec);
@@ -778,9 +776,7 @@ TEST(SpecJson, ReproducesDoublesExactlyIncludingNonFinite) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(back.cost.terms()[t].coeff),
               std::bit_cast<std::uint64_t>(spec.cost.terms()[t].coeff));
 
-  // Non-finite reals ride as IEEE-754 bit-pattern hex strings; the
-  // registered payload is the one place a spec can carry them and still
-  // validate (hea-line rejects reals, so use the raw helpers).
+  // Non-finite reals ride as IEEE-754 bit-pattern hex strings.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::string text =
@@ -858,10 +854,11 @@ TEST(SpecJson, RejectsMalformedInput) {
        " \"circuit\": {\"num_qubits\": 1, \"gates\": [{\"kind\": \"rz\","
        " \"qubits\": [0], \"angle\": {\"source\": \"delta\","
        " \"index\": 0, \"scale\": 1, \"offset\": 0}, \"ctrl_value\": 0}]}}"},
-      {"unknown registered name",
+      // Decoded by earlier versions; "registered" is no kind any more.
+      {"registered kind",
        "{\"mbq_spec\": 1, \"kind\": \"registered\","
        " \"cost\": {\"num_qubits\": 2, \"terms\": []},"
-       " \"registered\": {\"name\": \"no-such-kind\", \"ints\": [],"
+       " \"registered\": {\"name\": \"hea-line\", \"ints\": [1],"
        " \"reals\": []}}"},
       // A bit string is "0x" and exactly 16 hex digits: no sign, no
       // whitespace, no 17th digit.
@@ -887,125 +884,6 @@ TEST(SpecJson, RejectsMalformedInput) {
   };
   for (const auto& [label, text] : bad)
     EXPECT_THROW(spec_from_json(text), Error) << label;
-}
-
-// --- the Registered ansatz kind and its registry ----------------------
-
-TEST(AnsatzRegistry, ListingNamesBuiltinsAndErrorsNameTheOffender) {
-  auto& reg = api::AnsatzKindRegistry::instance();
-  EXPECT_TRUE(reg.contains("hea-line"));
-  EXPECT_TRUE(reg.is_builtin("hea-line"));
-  const std::string listing = api::ansatz_kind_listing();
-  EXPECT_NE(listing.find("qaoa"), std::string::npos);
-  EXPECT_NE(listing.find("registered:hea-line"), std::string::npos);
-
-  // Unknown names throw with the full listing.
-  try {
-    Workload::registered("no-such-ansatz", ring_cost(2));
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("no-such-ansatz"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("hea-line"), std::string::npos) << msg;
-  }
-
-  // Wrong-kind accessor errors name the actual kind and list the rest.
-  try {
-    Workload::qaoa(ring_cost(2)).mis_graph();
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("qaoa"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("known kinds:"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("hea-line"), std::string::npos) << msg;
-  }
-
-  // hea-line's payload validation runs at construction.
-  EXPECT_THROW(Workload::registered("hea-line", ring_cost(2)), Error);
-  EXPECT_THROW(Workload::registered("hea-line", ring_cost(2), {0}), Error);
-  EXPECT_THROW(Workload::registered("hea-line", ring_cost(2), {1}, {0.5}),
-               Error);
-}
-
-TEST(AnsatzRegistry, BuiltinKindShardsAcrossProcessesBitIdentically) {
-  // The acceptance bar: a registered (non-enum) ansatz kind round-trips
-  // the wire and executes on real worker processes, bit-identical to
-  // the in-process path.
-  const Workload w = Workload::registered("hea-line", ring_cost(3), {1});
-  EXPECT_TRUE(shard::shardable(w)) << shard::unshardable_reason(w);
-
-  const WorkloadSpec back = api::parse_spec(api::serialize_spec(w.spec()));
-  EXPECT_EQ(back.registered_name, "hea-line");
-  EXPECT_EQ(back.registered_ints, std::vector<int>{1});
-
-  // hea-line consumes one gamma/beta slot per (layer, qubit): p = 3.
-  const qaoa::Angles angles({0.3, -0.2, 0.1}, {0.5, 0.1, -0.4});
-  SessionOptions serial;
-  serial.seed = 7;
-  serial.num_processes = 1;
-  SessionOptions sharded;
-  sharded.seed = 7;
-  sharded.num_processes = 2;
-  Session s1(w, "router", serial);
-  Session s2(w, "router", sharded);
-  EXPECT_EQ(s1.expectation(angles), s2.expectation(angles));
-  const SampleResult r1 = s1.sample(angles, 96);
-  const SampleResult r2 = s2.sample(angles, 96);
-  // The pool spawns on first use: assert the cross-process half was
-  // real only after sampling, like the no-fallback acceptance demands.
-  ASSERT_GT(s2.shard_workers(), 0)
-      << "sharding fell back in-process; the cross-process half of this "
-         "test would be vacuous";
-  ASSERT_EQ(r1.shots.size(), r2.shots.size());
-  for (std::size_t i = 0; i < r1.shots.size(); ++i)
-    ASSERT_EQ(r1.shots[i].x, r2.shots[i].x) << "shot " << i;
-}
-
-TEST(AnsatzRegistry, RuntimeRegistrationsExecuteInProcessOnly) {
-  auto& reg = api::AnsatzKindRegistry::instance();
-  if (!reg.contains("test-gamma-ring")) {
-    api::AnsatzKindHooks hooks;
-    hooks.validate = [](const WorkloadSpec& spec) {
-      MBQ_REQUIRE(spec.registered_ints.empty() &&
-                      spec.registered_reals.size() == 1,
-                  "test-gamma-ring expects reals = {scale}");
-    };
-    hooks.build = [](const WorkloadSpec& spec) {
-      const int n = spec.cost.num_qubits();
-      ParamCircuit pc(n);
-      for (int q = 0; q < n; ++q)
-        pc.phase_gadget({q, (q + 1) % n},
-                        Param::gamma(0, spec.registered_reals[0]));
-      for (int q = 0; q < n; ++q) pc.rx(q, Param::beta(0, 2.0));
-      return pc;
-    };
-    reg.add("test-gamma-ring", hooks);
-  }
-  EXPECT_TRUE(reg.contains("test-gamma-ring"));
-  EXPECT_FALSE(reg.is_builtin("test-gamma-ring"));
-  EXPECT_THROW(reg.add("test-gamma-ring", api::AnsatzKindHooks{}), Error);
-
-  const Workload w =
-      Workload::registered("test-gamma-ring", ring_cost(3), {}, {2.0});
-  // Registered in this process only: a freshly exec'd worker could not
-  // resolve the name, so the workload must not shard...
-  const std::string reason = shard::unshardable_reason(w);
-  EXPECT_NE(reason.find("test-gamma-ring"), std::string::npos) << reason;
-  // ...but both codecs still carry it (any process that registers the
-  // kind can decode and run it).
-  const WorkloadSpec back = spec_from_json(spec_to_json(w.spec()));
-  EXPECT_EQ(back.registered_name, "test-gamma-ring");
-  EXPECT_EQ(api::serialize_spec(back), api::serialize_spec(w.spec()));
-
-  // And it executes in-process, even when the session asks for workers
-  // (documented fallback for unshardable workloads).
-  SessionOptions opt;
-  opt.seed = 3;
-  opt.num_processes = 2;
-  Session session(w, "router", opt);
-  EXPECT_EQ(session.shard_workers(), 0);
-  const SampleResult r = session.sample(qaoa::Angles({0.4}, {0.6}), 32);
-  EXPECT_EQ(r.shots.size(), 32u);
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
 #include "mbq/api/mbqc_backend.h"
 
 #include "mbq/api/prepared.h"
-#include "mbq/common/bits.h"
-#include "mbq/common/error.h"
 #include "mbq/mbqc/compiled.h"
 
 namespace mbq::api {
@@ -83,17 +81,14 @@ real MbqcBackend::expectation(const Workload& w, const qaoa::Angles& a,
   // byproducts permute basis states, so <C> is computed on the corrected
   // distribution by folding the flip mask into the cost-table index.  The
   // table's entries equal cost().evaluate(x) bit for bit (constant first,
-  // then each term in canonical order).
-  const mbqc::RunResult r =
-      mbqc::thread_local_executor(executable_of(prep), exec_options_for(w))
-          .run(rng);
-  const std::uint64_t flip = byproduct_flips(cp, w.num_qubits(), r.outcomes);
-  const auto table = w.cost_table();
-  MBQ_ASSERT(r.output_state.size() == table->size());
-  real acc = 0.0;
-  for (std::uint64_t x = 0; x < r.output_state.size(); ++x)
-    acc += std::norm(r.output_state[x]) * (*table)[x ^ flip];
-  return acc;
+  // then each term in canonical order).  The fold reads the executor's
+  // arena in place, so a steady-state evaluation allocates nothing.
+  mbqc::PatternExecutor& executor =
+      mbqc::thread_local_executor(executable_of(prep), exec_options_for(w));
+  executor.run_in_place(rng);
+  const std::uint64_t flip =
+      byproduct_flips(cp, w.num_qubits(), executor.last_outcomes());
+  return executor.output_expectation(*w.cost_table(), flip);
 }
 
 std::uint64_t MbqcBackend::sample_one(const Workload& w, const qaoa::Angles& a,

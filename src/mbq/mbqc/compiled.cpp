@@ -158,14 +158,24 @@ PatternExecutor::PatternExecutor(std::shared_ptr<const CompiledPattern> compiled
 RunResult PatternExecutor::run(Rng& rng) { return execute(&rng, nullptr); }
 
 PatternExecutor::SampledShot PatternExecutor::run_sample(Rng& rng) {
-  execute(&rng, nullptr, /*gather_output=*/false);
+  run_in_place(rng);
   // Readout draws AFTER the full run, exactly like sampling from the
-  // gathered output_state would.  The gather table is refreshed in
-  // place against the final layout — same size every shot, so its
-  // storage is reused and the steady-state shot stays allocation-free.
+  // gathered output_state would.
   const real u = rng.uniform();
-  dsv_.fill_gather_table(compiled_->output_slots_, gather_);
   return {dsv_.sample_in_order(gather_, u), dsv_.peak_live()};
+}
+
+void PatternExecutor::run_in_place(Rng& rng) {
+  execute(&rng, nullptr, /*gather_output=*/false);
+  // The gather table is refreshed in place against the final layout —
+  // same size every run, so its storage is reused and the steady-state
+  // loop stays allocation-free.
+  dsv_.fill_gather_table(compiled_->output_slots_, gather_);
+}
+
+real PatternExecutor::output_expectation(const std::vector<real>& diag,
+                                         std::uint64_t flip) const {
+  return dsv_.expectation_in_order(gather_, diag, flip);
 }
 
 RunResult PatternExecutor::run_forced(const std::vector<int>& forced) {
@@ -344,7 +354,7 @@ RunResult PatternExecutor::execute(Rng* rng, const int* forced,
 
   result.peak_live = dsv_.peak_live();
   if (gather_output) {
-    // run_sample skips this copy too: its caller reads last_outcomes()
+    // run_in_place skips this copy too: its caller reads last_outcomes()
     // from the member, keeping the shot loop allocation-free.
     result.outcomes = outcomes_;
     dsv_.fill_gather_table(cp.output_slots_, gather_);

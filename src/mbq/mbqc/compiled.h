@@ -171,6 +171,18 @@ class PatternExecutor {
   };
   SampledShot run_sample(Rng& rng);
 
+  /// One Born-rule execution that leaves the output register in the
+  /// arena instead of gathering an output_state copy; read it with
+  /// output_expectation().
+  void run_in_place(Rng& rng);
+
+  /// Σ_x |ψ(x)|² · diag[x ^ flip] over the output register of the most
+  /// recent run_in_place or run_sample, x in output-wire order, folded
+  /// straight from the arena in ascending x: bit-identical to the same
+  /// fold over run()'s output_state, without the 2^n copy.
+  real output_expectation(const std::vector<real>& diag,
+                          std::uint64_t flip) const;
+
   /// Outcomes of the most recent execution (any entry point).
   const std::vector<int>& last_outcomes() const noexcept { return outcomes_; }
 

@@ -72,6 +72,9 @@ bool run_battery(const CollapseKernelsT<R>& k) {
                     {R(0.0), R(0.3141592653589793)},  // Imag
                     {R(0.6), R(-0.8)}};               // Generic
   const R kInvSqrt2 = R(0.7071067811865476);
+  // A pending renormalization gain: full mantissa, so a flavor that
+  // folded it into s (one rounding instead of two) would differ.
+  const R kGain = R(1.3270086345276316);
   std::vector<C> x, y, ox, oy;
 
   const std::size_t sizes[] = {1, 2, 3, 4, 8, 12, 32, 64, 256};
@@ -80,11 +83,11 @@ bool run_battery(const CollapseKernelsT<R>& k) {
     y = x;
     if (!same(ref.fold_norms(x.data(), n), k.fold_norms(x.data(), n)))
       return false;
-    if (!same(ref.fold_norms_scaled(x.data(), n, R(0.25)),
-              k.fold_norms_scaled(x.data(), n, R(0.25))))
+    if (!same(ref.fold_norms_scaled(x.data(), n, kGain, R(0.25)),
+              k.fold_norms_scaled(x.data(), n, kGain, R(0.25))))
       return false;
-    if (!same(ref.prep_total_fold(x.data(), n, kInvSqrt2),
-              k.prep_total_fold(x.data(), n, kInvSqrt2)))
+    if (!same(ref.prep_total_fold(x.data(), n, kGain, kInvSqrt2),
+              k.prep_total_fold(x.data(), n, kGain, kInvSqrt2)))
       return false;
     const R fa = ref.scale_fold(x.data(), n, R(1.3));
     const R fb = k.scale_fold(y.data(), n, R(1.3));
@@ -108,9 +111,9 @@ bool run_battery(const CollapseKernelsT<R>& k) {
         ox.assign(dim, C{});
         oy.assign(dim, C{});
         const R fa = ref.prep_collapse(x.data(), ox.data(), dim, pmask, e0, e1,
-                                       kInvSqrt2);
-        const R fb =
-            k.prep_collapse(x.data(), oy.data(), dim, pmask, e0, e1, kInvSqrt2);
+                                       kGain, kInvSqrt2);
+        const R fb = k.prep_collapse(x.data(), oy.data(), dim, pmask, e0, e1,
+                                     kGain, kInvSqrt2);
         if (!same(fa, fb) || !same(ox, oy)) return false;
         // q = 0..3 covers every stride below one register (up to
         // AVX-512 f32's 8 amplitudes), where the vector flavors gather.
@@ -118,9 +121,9 @@ bool run_battery(const CollapseKernelsT<R>& k) {
           ox.assign(dim, C{});
           oy.assign(dim, C{});
           ref.teleport_collapse(x.data(), ox.data(), dim, q, pmask, e0, e1,
-                                kInvSqrt2);
+                                kGain, kInvSqrt2);
           k.teleport_collapse(x.data(), oy.data(), dim, q, pmask, e0, e1,
-                              kInvSqrt2);
+                              kGain, kInvSqrt2);
           if (!same(ox, oy)) return false;
           // Ranged teleport: slices must agree with scalar's slices
           // bit-for-bit, including the per-slice fold pairs.
@@ -132,11 +135,11 @@ bool run_battery(const CollapseKernelsT<R>& k) {
             oy.assign(dim, C{});
             R fla = R(0), fha = R(0), flb = R(0), fhb = R(0);
             ref.teleport_collapse_range(x.data(), ox.data(), dim, q, pmask, e0,
-                                        e1, kInvSqrt2, rr.first, rr.second,
-                                        &fla, &fha);
+                                        e1, kGain, kInvSqrt2, rr.first,
+                                        rr.second, &fla, &fha);
             k.teleport_collapse_range(x.data(), oy.data(), dim, q, pmask, e0,
-                                      e1, kInvSqrt2, rr.first, rr.second, &flb,
-                                      &fhb);
+                                      e1, kGain, kInvSqrt2, rr.first,
+                                      rr.second, &flb, &fhb);
             if (!same(fla, flb) || !same(fha, fhb) || !same(ox, oy))
               return false;
           }
@@ -212,9 +215,10 @@ bool run_battery(const CollapseKernelsT<R>& k) {
 /// driver(k, t) must equal driver(scalar, 1) bit-for-bit for every
 /// t — this is where a divergent flavor×thread combination is
 /// rejected.  Representative shapes: both stride regimes, mixed
-/// high/low masks, the fused *_with_total pairs against their unfused
-/// definitions.  The fused pairs also run at half the cutoff, where
-/// only the doubled register is chunked.  Twice the cutoff takes no
+/// high/low masks, the fused *_with_total drivers against their unfused
+/// definitions, a pending gain g != 1 on every driver that takes one.
+/// The fused gadget pairs also run at half the cutoff, where only the
+/// doubled register is chunked.  Twice the cutoff takes no
 /// other branch and is left to test_simd_kernels: its 1 MiB f64 input,
 /// freed here, would raise glibc's dynamic mmap threshold past a
 /// 16-wire register, and a sampling process's peak RSS with it.
@@ -228,6 +232,7 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
   constexpr int L = std::countr_zero(thr::kChunkAmps);
   const std::uint64_t dim = thr::kChunkCutoffDim;  // 2^14: eight chunks
   const R s = R(0.7071067811865476);
+  const R g = R(1.3270086345276316);
   const C e0{R(0.6), R(-0.8)};
   const C e1{R(0.0), R(0.3141592653589793)};
   // No t = 3, the first uneven split of eight chunks: test_simd_kernels
@@ -242,13 +247,19 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
   const auto copy = [&](std::vector<C>& to, std::uint64_t n) {
     to.assign(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(n));
   };
+  // The interpreted prep's input: x's lower d amplitudes with the gain
+  // settled in place (x·g), ahead of an upper half to overwrite.
+  const auto settled = [&](std::vector<C>& to, std::uint64_t d) {
+    copy(to, 2 * d);
+    ref.scale_fold(to.data(), d, g);
+  };
 
   for (int t : threads) {
     if (!same(thr::fold_norms(ref, x.data(), dim, 1),
               thr::fold_norms(k, x.data(), dim, t)))
       return false;
-    if (!same(thr::prep_total_fold(ref, x.data(), dim, s, 1),
-              thr::prep_total_fold(k, x.data(), dim, s, t)))
+    if (!same(thr::prep_total_fold(ref, x.data(), dim, g, s, 1),
+              thr::prep_total_fold(k, x.data(), dim, g, s, t)))
       return false;
   }
 
@@ -271,42 +282,55 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
       }
     }
 
-    // The doubled register's total three ways: fused, compiled
-    // prep_total_fold and interpreted add_plus_cz.
+    // The doubled register's total three ways: fused and compiled
+    // prep_total_fold reading x with the gain pending, and interpreted
+    // add_plus_cz over the settled register.
     ox.assign(d, C{});
     const auto pa = thr::prep_collapse_with_total(ref, x.data(), ox.data(), d,
-                                                  pmask, e0, e1, s, 1);
-    const R ta = thr::prep_total_fold(ref, x.data(), d, s, 1);
+                                                  pmask, e0, e1, g, s, 1);
+    const R ta = thr::prep_total_fold(ref, x.data(), d, g, s, 1);
     const R ja =
-        thr::prep_collapse(ref, x.data(), ox.data(), d, pmask, e0, e1, s, 1);
-    copy(y, 2 * d);
+        thr::prep_collapse(ref, x.data(), ox.data(), d, pmask, e0, e1, g, s, 1);
+    settled(y, d);
     const R ga = thr::add_plus_cz(ref, y.data(), d, pmask, s, 1);
     if (!same(pa.total, ta) || !same(pa.total, ga) || !same(pa.proj, ja))
       return false;  // fusion
     for (int t : threads) {
       oy.assign(d, C{});
       const auto pb = thr::prep_collapse_with_total(k, x.data(), oy.data(), d,
-                                                    pmask, e0, e1, s, t);
+                                                    pmask, e0, e1, g, s, t);
       if (!same(pa.total, pb.total) || !same(pa.proj, pb.proj) ||
           !same(ox, oy))
         return false;
-      copy(oy, 2 * d);
+      settled(oy, d);
       if (!same(ga, thr::add_plus_cz(k, oy.data(), d, pmask, s, t)) ||
           !same(y, oy))
         return false;
     }
   }
 
+  // The teleport: its fused Born total against prep_total_fold +
+  // teleport_collapse_fold, then every flavor x thread count against
+  // that.  (At this size both drivers make the same ranged kernel call
+  // per chunk, so the fused one stands for both.)
+  const R tta = thr::prep_total_fold(ref, x.data(), dim, g, s, 1);
   for (int q : {2, L, L + 1}) {
     ox.assign(dim, C{});
+    oy.assign(dim, C{});
     const std::uint64_t tp = pmask & ~((std::uint64_t{2} << q) - 1);
     const R fa = thr::teleport_collapse_fold(ref, x.data(), ox.data(), dim, q,
-                                             tp, e0, e1, s, 1);
+                                             tp, e0, e1, g, s, 1);
+    const auto wa = thr::teleport_collapse_with_total(
+        ref, x.data(), oy.data(), dim, q, tp, e0, e1, g, s, 1);
+    if (!same(wa.total, tta) || !same(wa.proj, fa) || !same(ox, oy))
+      return false;  // fusion
     for (int t : threads) {
       oy.assign(dim, C{});
-      const R fb = thr::teleport_collapse_fold(k, x.data(), oy.data(), dim, q,
-                                               tp, e0, e1, s, t);
-      if (!same(fa, fb) || !same(ox, oy)) return false;
+      const auto wb = thr::teleport_collapse_with_total(
+          k, x.data(), oy.data(), dim, q, tp, e0, e1, g, s, t);
+      if (!same(wa.total, wb.total) || !same(wa.proj, wb.proj) ||
+          !same(ox, oy))
+        return false;
     }
   }
 

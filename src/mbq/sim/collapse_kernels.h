@@ -131,15 +131,24 @@ struct CollapseKernelsT {
   /// Canonical fold of Σ|x[i]|² over n amplitudes.
   R (*fold_norms)(const C* x, std::uint64_t n);
 
-  /// Canonical fold of Σ|s·x[i]|² (the values are scaled first; the
+  // THE GAIN.  The entries below that take a gain g read each element
+  // as (x[i]·g)·s: two roundings, first g, then s.  g is the
+  // renormalization a fused measure leaves pending (see
+  // DynamicStatevector), so the next fused op computes exactly the
+  // values a separate scale pass x[i] *= g and then its own ·s would.
+  // g = 1 is exact, so one entry serves settled and pending registers.
+
+  /// Canonical fold of Σ|(x[i]·g)·s|² (the values are scaled first; the
   /// squares are of the scaled values, matching what a sequential prep
-  /// would have stored).
-  R (*fold_norms_scaled)(const C* x, std::uint64_t n, R s);
+  /// would have stored).  g = s = 1 is the plain fold of the settled
+  /// values.
+  R (*fold_norms_scaled)(const C* x, std::uint64_t n, R g, R s);
 
   /// The fused-prep Born denominator: the norm fold of the DOUBLED
-  /// register [s·x | ±s·x], i.e. the scaled stream folded twice with
-  /// ONE carried accumulator set (signs square away bitwise).
-  R (*prep_total_fold)(const C* x, std::uint64_t n, R s);
+  /// register [x' | ±x'] with x' = (x·g)·s, i.e. the scaled stream
+  /// folded twice with ONE carried accumulator set (signs square away
+  /// bitwise).
+  R (*prep_total_fold)(const C* x, std::uint64_t n, R g, R s);
 
   /// x[i] *= inv for all i, returning the canonical fold of the scaled
   /// values — the collapse-normalization pass shared by every measure.
@@ -153,24 +162,24 @@ struct CollapseKernelsT {
                       C e1);
 
   /// Fused-gadget projection (prep_cz_measure): for i in [0, dim),
-  ///   low = s·x[i];  up = parity(i & pmask) ? −low : low;
+  ///   low = (x[i]·g)·s;  up = parity(i & pmask) ? −low : low;
   ///   out[i] = eff_mul(e0, low) + eff_mul(e1, up);
   /// (sign applied BEFORE the effect product, as the sequential chain
   /// stores ±values then multiplies — keeps zero-signs identical too);
   /// returns the canonical fold over out.
   R (*prep_collapse)(const C* x, C* out, std::uint64_t dim,
-                     std::uint64_t pmask, C e0, C e1, R s);
+                     std::uint64_t pmask, C e0, C e1, R g, R s);
 
   /// Fused-teleport projection (prep_cz_teleport_measure), elementwise
-  /// only — the caller folds `out` separately with fold_norms.  For
-  /// each pair (i0, i0|1<<q) of the measured wire q:
-  ///   a = eff_mul(e0, s·x[i0]);  b = eff_mul(e1, s·x[i0|1<<q]);
+  /// only — the unchunked driver folds `out` separately with
+  /// fold_norms.  For each pair (i0, i0|1<<q) of the measured wire q:
+  ///   a = eff_mul(e0, (x[i0]·g)·s);  b = eff_mul(e1, (x[i0|1<<q]·g)·s);
   ///   out[r]           = a + b                      (new wire bit = 0)
   ///   out[dim/2 + r]   = ±a ± b                     (new wire bit = 1)
   /// with r the pair's rank and the ± signs from parity(i & pmask)
   /// applied AFTER the products, exactly as the scalar code always has.
   void (*teleport_collapse)(const C* x, C* out, std::uint64_t dim, int q,
-                            std::uint64_t pmask, C e0, C e1, R s);
+                            std::uint64_t pmask, C e0, C e1, R g, R s);
 
   /// add_wire_plus_cz in place: scale x[0..old_dim) by s, mirror into
   /// x[old_dim..2·old_dim) with sign (−1)^parity(i & pmask); returns
@@ -219,9 +228,9 @@ struct CollapseKernelsT {
   /// full pass restricted to the slice, with folds equal to chunked
   /// fold_norms over out.
   void (*teleport_collapse_range)(const C* x, C* out, std::uint64_t dim,
-                                  int q, std::uint64_t pmask, C e0, C e1, R s,
-                                  std::uint64_t r_begin, std::uint64_t r_end,
-                                  R* fold_lo, R* fold_hi);
+                                  int q, std::uint64_t pmask, C e0, C e1, R g,
+                                  R s, std::uint64_t r_begin,
+                                  std::uint64_t r_end, R* fold_lo, R* fold_hi);
 
   /// Ranged mirror half of add_plus_cz: for i ∈ [i_begin, i_end) with
   /// the LOWER half already scaled, x[old_dim + i] =

@@ -44,19 +44,19 @@ R s_fold_norms(const std::complex<R>* x, std::uint64_t n) {
 }
 
 template <class R>
-R s_fold_norms_scaled(const std::complex<R>* x, std::uint64_t n, R s) {
+R s_fold_norms_scaled(const std::complex<R>* x, std::uint64_t n, R g, R s) {
   FoldAcc<R> acc;
-  for (std::uint64_t i = 0; i < n; ++i) acc.add(x[i] * s);
+  for (std::uint64_t i = 0; i < n; ++i) acc.add((x[i] * g) * s);
   return acc.combine();
 }
 
 template <class R>
-R s_prep_total_fold(const std::complex<R>* x, std::uint64_t n, R s) {
+R s_prep_total_fold(const std::complex<R>* x, std::uint64_t n, R g, R s) {
   // Two sweeps, ONE carried accumulator set: the doubled register's
   // upper half differs only in signs, which square away bitwise.
   FoldAcc<R> acc;
-  for (std::uint64_t i = 0; i < n; ++i) acc.add(x[i] * s);
-  for (std::uint64_t i = 0; i < n; ++i) acc.add(x[i] * s);
+  for (std::uint64_t i = 0; i < n; ++i) acc.add((x[i] * g) * s);
+  for (std::uint64_t i = 0; i < n; ++i) acc.add((x[i] * g) * s);
   return acc.combine();
 }
 
@@ -89,12 +89,12 @@ R s_collapse_pairs(const std::complex<R>* x, std::complex<R>* out,
 template <class R>
 R s_prep_collapse(const std::complex<R>* x, std::complex<R>* out,
                   std::uint64_t dim, std::uint64_t pmask, std::complex<R> e0,
-                  std::complex<R> e1, R s) {
+                  std::complex<R> e1, R g, R s) {
   const EffKind k0 = eff_kind(e0);
   const EffKind k1 = eff_kind(e1);
   FoldAcc<R> acc;
   for (std::uint64_t i = 0; i < dim; ++i) {
-    const std::complex<R> low = x[i] * s;
+    const std::complex<R> low = (x[i] * g) * s;
     const std::complex<R> up = parity64(i & pmask) ? -low : low;
     out[i] = eff_mul(k0, e0, low) + eff_mul(k1, e1, up);
     acc.add(out[i]);
@@ -105,7 +105,7 @@ R s_prep_collapse(const std::complex<R>* x, std::complex<R>* out,
 template <class R>
 void s_teleport_collapse(const std::complex<R>* x, std::complex<R>* out,
                          std::uint64_t dim, int q, std::uint64_t pmask,
-                         std::complex<R> e0, std::complex<R> e1, R s) {
+                         std::complex<R> e0, std::complex<R> e1, R g, R s) {
   const std::uint64_t stride = std::uint64_t{1} << q;
   const std::uint64_t rest_count = dim / 2;
   const EffKind k0 = eff_kind(e0);
@@ -123,15 +123,17 @@ void s_teleport_collapse(const std::complex<R>* x, std::complex<R>* out,
       const bool s0 = ph != 0;
       const bool s1 = (ph ^ pm_q) != 0;
       for (std::uint64_t lo = 0; lo < stride; ++lo) {
-        const std::complex<R> a = eff_mul(k0, e0, x[i0b + lo] * s);
-        const std::complex<R> b = eff_mul(k1, e1, x[i0b + stride + lo] * s);
+        const std::complex<R> a = eff_mul(k0, e0, (x[i0b + lo] * g) * s);
+        const std::complex<R> b =
+            eff_mul(k1, e1, (x[i0b + stride + lo] * g) * s);
         out[rb + lo] = a + b;
         out[rest_count + rb + lo] = (s0 ? -a : a) + (s1 ? -b : b);
       }
     } else {
       for (std::uint64_t lo = 0; lo < stride; ++lo) {
-        const std::complex<R> a = eff_mul(k0, e0, x[i0b + lo] * s);
-        const std::complex<R> b = eff_mul(k1, e1, x[i0b + stride + lo] * s);
+        const std::complex<R> a = eff_mul(k0, e0, (x[i0b + lo] * g) * s);
+        const std::complex<R> b =
+            eff_mul(k1, e1, (x[i0b + stride + lo] * g) * s);
         out[rb + lo] = a + b;
         const int s0 = ph ^ parity64(lo & pm_low);
         out[rest_count + rb + lo] = (s0 ? -a : a) + ((s0 ^ pm_q) ? -b : b);
@@ -143,8 +145,8 @@ void s_teleport_collapse(const std::complex<R>* x, std::complex<R>* out,
 template <class R>
 void s_teleport_collapse_range(const std::complex<R>* x, std::complex<R>* out,
                                std::uint64_t dim, int q, std::uint64_t pmask,
-                               std::complex<R> e0, std::complex<R> e1, R s,
-                               std::uint64_t r_begin, std::uint64_t r_end,
+                               std::complex<R> e0, std::complex<R> e1, R g,
+                               R s, std::uint64_t r_begin, std::uint64_t r_end,
                                R* fold_lo, R* fold_hi) {
   const std::uint64_t stride = std::uint64_t{1} << q;
   const std::uint64_t rest_count = dim / 2;
@@ -158,8 +160,8 @@ void s_teleport_collapse_range(const std::complex<R>* x, std::complex<R>* out,
   // restart their lanes at the slice start (the chunk-driver contract).
   for (std::uint64_t r = r_begin; r < r_end; ++r) {
     const std::uint64_t i0 = insert_zero_bit(r, q);
-    const std::complex<R> a = eff_mul(k0, e0, x[i0] * s);
-    const std::complex<R> b = eff_mul(k1, e1, x[i0 | stride] * s);
+    const std::complex<R> a = eff_mul(k0, e0, (x[i0] * g) * s);
+    const std::complex<R> b = eff_mul(k1, e1, (x[i0 | stride] * g) * s);
     out[r] = a + b;
     acc_lo.add(out[r]);
     const int s0 = parity64(i0 & pmask);

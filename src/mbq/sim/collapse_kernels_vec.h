@@ -25,9 +25,10 @@
 //  * Pauli swaps whose X mask touches the positions inside one register
 //    (the swap would pair lanes of one register);
 //  * collapse_pairs and phase_pass on a wire inside one register.
-// A teleport of a wire inside one register — the mixer J step, which
-// measures register position 0 or 1 — gathers its pairs into registers
-// instead (teleport_narrow).
+// A teleport of a wire inside one register gathers its pairs into
+// registers instead (teleport_narrow).  In every bench family half the
+// mixer's J steps take that path (they measure register position 0);
+// the other half measure the top position, the widest stride.
 
 #include <bit>
 #include <cstdint>
@@ -149,24 +150,31 @@ struct VecKernels {
     return acc.combine();
   }
 
-  static R fold_norms_scaled(const C* x, std::uint64_t n, R s) {
-    if (n % kQ != 0) return scalar_kernels_t<R>().fold_norms_scaled(x, n, s);
+  /// (v·g)·s per lane: the pending gain first, then the op's own
+  /// scale — the two roundings a settled register would have seen.
+  static V gain_scale(V v, V gv, V sv) noexcept {
+    return T::mul(T::mul(v, gv), sv);
+  }
+
+  static R fold_norms_scaled(const C* x, std::uint64_t n, R g, R s) {
+    if (n % kQ != 0)
+      return scalar_kernels_t<R>().fold_norms_scaled(x, n, g, s);
     const R* p = dp(x);
-    const V sv = T::set1(s);
+    const V gv = T::set1(g), sv = T::set1(s);
     Acc acc;
     for (std::uint64_t m = 0; m < 2 * n; m += kW)
-      acc.add(T::mul(T::load(p + m), sv));
+      acc.add(gain_scale(T::load(p + m), gv, sv));
     return acc.combine();
   }
 
-  static R prep_total_fold(const C* x, std::uint64_t n, R s) {
-    if (n % kQ != 0) return scalar_kernels_t<R>().prep_total_fold(x, n, s);
+  static R prep_total_fold(const C* x, std::uint64_t n, R g, R s) {
+    if (n % kQ != 0) return scalar_kernels_t<R>().prep_total_fold(x, n, g, s);
     const R* p = dp(x);
-    const V sv = T::set1(s);
+    const V gv = T::set1(g), sv = T::set1(s);
     Acc acc;  // ONE carried accumulator set across both sweeps
     for (int sweep = 0; sweep < 2; ++sweep)
       for (std::uint64_t m = 0; m < 2 * n; m += kW)
-        acc.add(T::mul(T::load(p + m), sv));
+        acc.add(gain_scale(T::load(p + m), gv, sv));
     return acc.combine();
   }
 
@@ -204,18 +212,18 @@ struct VecKernels {
   }
 
   static R prep_collapse(const C* x, C* out, std::uint64_t dim,
-                         std::uint64_t pmask, C e0, C e1, R s) {
+                         std::uint64_t pmask, C e0, C e1, R g, R s) {
     if (dim % kQ != 0)
       return scalar_kernels_t<R>().prep_collapse(x, out, dim, pmask, e0, e1,
-                                                 s);
+                                                 g, s);
     const R* p = dp(x);
     R* o = dp(out);
-    const V sv = T::set1(s);
+    const V gv = T::set1(g), sv = T::set1(s);
     const Eff f0(e0), f1(e1);
     const PairSigns signs(pmask);
     Acc acc;
     for (std::uint64_t i = 0; i < dim; i += kWc) {
-      const V low = T::mul(T::load(p + 2 * i), sv);
+      const V low = gain_scale(T::load(p + 2 * i), gv, sv);
       const V up = T::xor_signs(low, signs.at(i));  // sign BEFORE effect
       const V r = T::add(f0.apply(low), f1.apply(up));
       T::store(o + 2 * i, r);
@@ -225,9 +233,9 @@ struct VecKernels {
   }
 
   /// Teleport projection for a measured wire q below one register
-  /// (stride < kWc), the J-step shape: the mixer's teleports measure
-  /// register position 0 or 1.  A kWc-rank step from rank r (r ≡ 0 mod
-  /// kWc) reads the contiguous block [2r, 2r + 2·kWc); lane t's pair is
+  /// (stride < kWc), the shape of the J steps that measure register
+  /// position 0.  A kWc-rank step from rank r (r ≡ 0 mod kWc) reads the
+  /// contiguous block [2r, 2r + 2·kWc); lane t's pair is
   /// (2r + j_t, 2r + j_t + 2^q) with j_t = insert_zero_bit(t, q).  The
   /// step gathers the lower and upper members into two registers through
   /// a stack buffer; q is a template argument, so the gather indices are
@@ -240,13 +248,14 @@ struct VecKernels {
   /// output halves fold into fresh accumulator sets.
   template <bool kFold, int Q = 0>
   static void teleport_narrow(const C* x, C* out, std::uint64_t dim, int q,
-                              std::uint64_t pmask, C e0, C e1, R s,
+                              std::uint64_t pmask, C e0, C e1, R g, R s,
                               std::uint64_t r_begin, std::uint64_t r_end,
                               R* fold_lo, R* fold_hi) {
     if constexpr ((2 << Q) < kWc) {  // Q + 1 is narrow too
       if (q != Q)
-        return teleport_narrow<kFold, Q + 1>(x, out, dim, q, pmask, e0, e1, s,
-                                             r_begin, r_end, fold_lo, fold_hi);
+        return teleport_narrow<kFold, Q + 1>(x, out, dim, q, pmask, e0, e1, g,
+                                             s, r_begin, r_end, fold_lo,
+                                             fold_hi);
     }
     constexpr int kStride = 1 << Q;
     const std::uint64_t rest_count = dim / 2;
@@ -265,7 +274,7 @@ struct VecKernels {
     const V sign_b[2] = {T::load(tb[0]), T::load(tb[1])};
     const R* p = dp(x);
     R* o = dp(out);
-    const V sv = T::set1(s);
+    const V gv = T::set1(g), sv = T::set1(s);
     const Eff f0(e0), f1(e1);
     Acc acc_lo;
     Acc acc_hi;
@@ -280,8 +289,8 @@ struct VecKernels {
         up[2 * t] = blk[2 * (j + kStride)];
         up[2 * t + 1] = blk[2 * (j + kStride) + 1];
       }
-      const V a = f0.apply(T::mul(T::load(lo), sv));
-      const V b = f1.apply(T::mul(T::load(up), sv));
+      const V a = f0.apply(gain_scale(T::load(lo), gv, sv));
+      const V b = f1.apply(gain_scale(T::load(up), gv, sv));
       const int ph = parity64((2 * r) & pmask);
       const V r0 = T::add(a, b);
       const V r1 =  // sign AFTER the product, as in the scalar path
@@ -300,10 +309,10 @@ struct VecKernels {
   }
 
   static void teleport_collapse(const C* x, C* out, std::uint64_t dim, int q,
-                                std::uint64_t pmask, C e0, C e1, R s) {
+                                std::uint64_t pmask, C e0, C e1, R g, R s) {
     const std::uint64_t stride = std::uint64_t{1} << q;
     if (stride < std::uint64_t(kWc) && (dim / 2) % kQ == 0) {
-      teleport_narrow<false>(x, out, dim, q, pmask, e0, e1, s, 0, dim / 2,
+      teleport_narrow<false>(x, out, dim, q, pmask, e0, e1, g, s, 0, dim / 2,
                              nullptr, nullptr);
       return;
     }
@@ -313,14 +322,14 @@ struct VecKernels {
     if (dim % kQ != 0 || stride < std::uint64_t(kWc) ||
         (pmask & (stride - 1)) != 0) {
       scalar_kernels_t<R>().teleport_collapse(x, out, dim, q, pmask, e0, e1,
-                                              s);
+                                              g, s);
       return;
     }
     const std::uint64_t rest_count = dim / 2;
     const int pm_q = static_cast<int>((pmask >> q) & 1);
     const R* p = dp(x);
     R* o = dp(out);
-    const V sv = T::set1(s);
+    const V gv = T::set1(g), sv = T::set1(s);
     const Eff f0(e0), f1(e1);
     for (std::uint64_t hp = 0; hp < rest_count >> q; ++hp) {
       const std::uint64_t i0b = hp << (q + 1);
@@ -329,9 +338,9 @@ struct VecKernels {
       const bool s0 = ph != 0;
       const bool s1 = (ph ^ pm_q) != 0;
       for (std::uint64_t lo = 0; lo < stride; lo += kWc) {
-        const V a = f0.apply(T::mul(T::load(p + 2 * (i0b + lo)), sv));
-        const V b =
-            f1.apply(T::mul(T::load(p + 2 * (i0b + stride + lo)), sv));
+        const V a = f0.apply(gain_scale(T::load(p + 2 * (i0b + lo)), gv, sv));
+        const V b = f1.apply(
+            gain_scale(T::load(p + 2 * (i0b + stride + lo)), gv, sv));
         T::store(o + 2 * (rb + lo), T::add(a, b));
         const V an = s0 ? T::neg(a) : a;  // sign AFTER the product,
         const V bn = s1 ? T::neg(b) : b;  // as the scalar path always has
@@ -342,7 +351,7 @@ struct VecKernels {
 
   static void teleport_collapse_range(const C* x, C* out, std::uint64_t dim,
                                       int q, std::uint64_t pmask, C e0, C e1,
-                                      R s, std::uint64_t r_begin,
+                                      R g, R s, std::uint64_t r_begin,
                                       std::uint64_t r_end, R* fold_lo,
                                       R* fold_hi) {
     const std::uint64_t stride = std::uint64_t{1} << q;
@@ -351,21 +360,22 @@ struct VecKernels {
     // wide-stride measured wire go to scalar as in the full pass.
     const bool on_quantum = r_begin % kQ == 0 && (r_end - r_begin) % kQ == 0;
     if (on_quantum && stride < std::uint64_t(kWc)) {
-      teleport_narrow<true>(x, out, dim, q, pmask, e0, e1, s, r_begin, r_end,
-                            fold_lo, fold_hi);
+      teleport_narrow<true>(x, out, dim, q, pmask, e0, e1, g, s, r_begin,
+                            r_end, fold_lo, fold_hi);
       return;
     }
     if (!on_quantum || stride < std::uint64_t(kWc) ||
         (pmask & (stride - 1)) != 0) {
-      scalar_kernels_t<R>().teleport_collapse_range(
-          x, out, dim, q, pmask, e0, e1, s, r_begin, r_end, fold_lo, fold_hi);
+      scalar_kernels_t<R>().teleport_collapse_range(x, out, dim, q, pmask, e0,
+                                                    e1, g, s, r_begin, r_end,
+                                                    fold_lo, fold_hi);
       return;
     }
     const std::uint64_t rest_count = dim / 2;
     const int pm_q = static_cast<int>((pmask >> q) & 1);
     const R* p = dp(x);
     R* o = dp(out);
-    const V sv = T::set1(s);
+    const V gv = T::set1(g), sv = T::set1(s);
     const Eff f0(e0), f1(e1);
     Acc acc_lo;
     Acc acc_hi;
@@ -374,8 +384,8 @@ struct VecKernels {
     for (std::uint64_t r = r_begin; r < r_end; r += kWc) {
       const std::uint64_t i0 = insert_zero_bit(r, q);
       const int ph = parity64(i0 & pmask);
-      const V a = f0.apply(T::mul(T::load(p + 2 * i0), sv));
-      const V b = f1.apply(T::mul(T::load(p + 2 * (i0 | stride)), sv));
+      const V a = f0.apply(gain_scale(T::load(p + 2 * i0), gv, sv));
+      const V b = f1.apply(gain_scale(T::load(p + 2 * (i0 | stride)), gv, sv));
       const V r0 = T::add(a, b);
       T::store(o + 2 * r, r0);
       acc_lo.add(r0);

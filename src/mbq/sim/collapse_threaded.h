@@ -32,6 +32,13 @@
 // values: the per-chunk partials and their combination order are
 // exactly those of the unfused drivers.
 //
+// PASS COUNT.  A sampled fused gadget or teleport is one such pass (the
+// outcome-1 projection with its Born total), plus a re-projection when
+// the draw gives 0: 1.5 passes and fork/joins on average.  None of them
+// renormalizes.  The drivers take the gain g the previous fused op left
+// pending (sim/dynamic_statevector.h) and apply it to each element as
+// it is read, before the op's own scale s.
+//
 // Where two different drivers can cover the same logical fold (the
 // compiled prep_total_fold vs the interpreted add_plus_cz over the
 // doubled register; collapse_pairs vs prep_collapse over the same out
@@ -84,6 +91,18 @@ inline bool chunked(std::uint64_t space) noexcept {
   return space >= kChunkCutoffDim && space % kChunkAmps == 0;
 }
 
+/// The doubled register's total from its per-half chunk partials: the
+/// upper half's partials equal the lower half's bitwise (signs square
+/// away), so each is computed once and added twice, in doubled-array
+/// chunk order.
+template <class R>
+inline R doubled_total(const R* half_parts, std::uint64_t nc) noexcept {
+  R total = half_parts[0];
+  for (std::uint64_t c = 1; c < nc; ++c) total += half_parts[c];
+  for (std::uint64_t c = 0; c < nc; ++c) total += half_parts[c];
+  return total;
+}
+
 }  // namespace detail
 
 /// Both folds of a fused blocked measure pass.
@@ -110,35 +129,30 @@ R fold_norms(const CollapseKernelsT<R>& k, const std::complex<R>* x,
 
 template <class R>
 R fold_norms_scaled(const CollapseKernelsT<R>& k, const std::complex<R>* x,
-                    std::uint64_t n, R s, int threads) {
-  if (!detail::chunked(n)) return k.fold_norms_scaled(x, n, s);
+                    std::uint64_t n, R g, R s, int threads) {
+  if (!detail::chunked(n)) return k.fold_norms_scaled(x, n, g, s);
   const std::uint64_t nc = n / kChunkAmps;
   auto& p = detail::parts<R>();
   p.resize(nc);
   parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
-    p[c] = k.fold_norms_scaled(x + c * kChunkAmps, kChunkAmps, s);
+    p[c] = k.fold_norms_scaled(x + c * kChunkAmps, kChunkAmps, g, s);
   });
   return detail::combine(p.data(), nc);
 }
 
-/// prep_total_fold: the fold of the DOUBLED register [s·x | ±s·x].  The
-/// chunk space is the doubled 2n array; the upper half's chunk partials
-/// equal the lower half's bitwise (signs square away), so each is
-/// computed once and added twice.
+/// prep_total_fold: the fold of the DOUBLED register [x' | ±x'] with
+/// x' = (x·g)·s.  The chunk space is the doubled 2n array.
 template <class R>
 R prep_total_fold(const CollapseKernelsT<R>& k, const std::complex<R>* x,
-                  std::uint64_t n, R s, int threads) {
-  if (!detail::chunked(2 * n)) return k.prep_total_fold(x, n, s);
+                  std::uint64_t n, R g, R s, int threads) {
+  if (!detail::chunked(2 * n)) return k.prep_total_fold(x, n, g, s);
   const std::uint64_t nc = n / kChunkAmps;  // chunks per half
   auto& p = detail::parts<R>();
   p.resize(nc);
   parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
-    p[c] = k.fold_norms_scaled(x + c * kChunkAmps, kChunkAmps, s);
+    p[c] = k.fold_norms_scaled(x + c * kChunkAmps, kChunkAmps, g, s);
   });
-  R total = p[0];
-  for (std::uint64_t c = 1; c < nc; ++c) total += p[c];
-  for (std::uint64_t c = 0; c < nc; ++c) total += p[c];
-  return total;
+  return detail::doubled_total(p.data(), nc);
 }
 
 template <class R>
@@ -242,9 +256,10 @@ Folds2<R> collapse_pairs_with_total(const CollapseKernelsT<R>& k,
 template <class R>
 R prep_collapse(const CollapseKernelsT<R>& k, const std::complex<R>* x,
                 std::complex<R>* out, std::uint64_t dim, std::uint64_t pmask,
-                std::complex<R> e0, std::complex<R> e1, R s, int threads) {
+                std::complex<R> e0, std::complex<R> e1, R g, R s,
+                int threads) {
   if (!detail::chunked(dim))
-    return k.prep_collapse(x, out, dim, pmask, e0, e1, s);
+    return k.prep_collapse(x, out, dim, pmask, e0, e1, g, s);
   const std::uint64_t nc = dim / kChunkAmps;
   const std::uint64_t pm_lo = pmask & (kChunkAmps - 1);
   const std::uint64_t pm_hi = pmask & ~(kChunkAmps - 1);
@@ -253,12 +268,13 @@ R prep_collapse(const CollapseKernelsT<R>& k, const std::complex<R>* x,
   parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
     const std::uint64_t i0 = c * kChunkAmps;
     const std::complex<R> e1c = parity64(i0 & pm_hi) ? -e1 : e1;
-    p[c] = k.prep_collapse(x + i0, out + i0, kChunkAmps, pm_lo, e0, e1c, s);
+    p[c] =
+        k.prep_collapse(x + i0, out + i0, kChunkAmps, pm_lo, e0, e1c, g, s);
   });
   return detail::combine(p.data(), nc);
 }
 
-/// Fused prep_cz_measure: total = prep_total_fold(x, n, s) and
+/// Fused prep_cz_measure: total = prep_total_fold(x, n, g, s) and
 /// proj = prep_collapse(...), per chunk — each x block is read once for
 /// both folds.  The two results keep their independent chunk contracts
 /// (total chunks the doubled 2n array, proj chunks the n array), which
@@ -268,12 +284,12 @@ Folds2<R> prep_collapse_with_total(const CollapseKernelsT<R>& k,
                                    const std::complex<R>* x,
                                    std::complex<R>* out, std::uint64_t dim,
                                    std::uint64_t pmask, std::complex<R> e0,
-                                   std::complex<R> e1, R s, int threads) {
+                                   std::complex<R> e1, R g, R s, int threads) {
   if (!detail::chunked(dim)) {
     // The total keeps its own contract (chunked once 2·dim reaches the
     // cutoff); the projection is one plain call.
-    const R total = prep_total_fold(k, x, dim, s, threads);
-    const R proj = k.prep_collapse(x, out, dim, pmask, e0, e1, s);
+    const R total = prep_total_fold(k, x, dim, g, s, threads);
+    const R proj = k.prep_collapse(x, out, dim, pmask, e0, e1, g, s);
     return {total, proj};
   }
   const std::uint64_t nc = dim / kChunkAmps;
@@ -285,15 +301,12 @@ Folds2<R> prep_collapse_with_total(const CollapseKernelsT<R>& k,
   R* proj_parts = p.data() + nc;
   parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
     const std::uint64_t i0 = c * kChunkAmps;
-    x_parts[c] = k.fold_norms_scaled(x + i0, kChunkAmps, s);
+    x_parts[c] = k.fold_norms_scaled(x + i0, kChunkAmps, g, s);
     const std::complex<R> e1c = parity64(i0 & pm_hi) ? -e1 : e1;
     proj_parts[c] =
-        k.prep_collapse(x + i0, out + i0, kChunkAmps, pm_lo, e0, e1c, s);
+        k.prep_collapse(x + i0, out + i0, kChunkAmps, pm_lo, e0, e1c, g, s);
   });
-  R total = x_parts[0];
-  for (std::uint64_t c = 1; c < nc; ++c) total += x_parts[c];
-  for (std::uint64_t c = 0; c < nc; ++c) total += x_parts[c];
-  return {total, detail::combine(proj_parts, nc)};
+  return {detail::doubled_total(x_parts, nc), detail::combine(proj_parts, nc)};
 }
 
 // --- fused prep+CZ+teleport+measure ------------------------------------------
@@ -308,10 +321,10 @@ template <class R>
 R teleport_collapse_fold(const CollapseKernelsT<R>& k,
                          const std::complex<R>* x, std::complex<R>* out,
                          std::uint64_t dim, int q, std::uint64_t pmask,
-                         std::complex<R> e0, std::complex<R> e1, R s,
+                         std::complex<R> e0, std::complex<R> e1, R g, R s,
                          int threads) {
   if (!detail::chunked(dim)) {
-    k.teleport_collapse(x, out, dim, q, pmask, e0, e1, s);
+    k.teleport_collapse(x, out, dim, q, pmask, e0, e1, g, s);
     return fold_norms(k, out, dim, threads);
   }
   const std::uint64_t nch = (dim / 2) / kChunkAmps;  // chunks per half
@@ -319,10 +332,52 @@ R teleport_collapse_fold(const CollapseKernelsT<R>& k,
   p.resize(2 * nch);
   parallel_for_threads(static_cast<std::int64_t>(nch), threads, [&](auto c) {
     const std::uint64_t r0 = c * kChunkAmps;
-    k.teleport_collapse_range(x, out, dim, q, pmask, e0, e1, s, r0,
+    k.teleport_collapse_range(x, out, dim, q, pmask, e0, e1, g, s, r0,
                               r0 + kChunkAmps, &p[c], &p[nch + c]);
   });
   return detail::combine(p.data(), 2 * nch);
+}
+
+/// Fused sampled teleport: total = prep_total_fold(x, dim, g, s) and
+/// proj = teleport_collapse_fold(...), each x block folded in the chunk
+/// pass that projects it — one read of x instead of two.  A rank chunk
+/// c reads two aligned x chunks, whose partials land in
+/// prep_total_fold's slots: 2c and 2c + 1 for stride < C, i0/C and
+/// (i0 + stride)/C otherwise (i0 = insert_zero_bit(c·C, q)).  Every x
+/// chunk is read by exactly one rank chunk, and the slots combine as
+/// prep_total_fold's do, so both folds are bit-identical to the unfused
+/// pair.
+template <class R>
+Folds2<R> teleport_collapse_with_total(
+    const CollapseKernelsT<R>& k, const std::complex<R>* x,
+    std::complex<R>* out, std::uint64_t dim, int q, std::uint64_t pmask,
+    std::complex<R> e0, std::complex<R> e1, R g, R s, int threads) {
+  if (!detail::chunked(dim)) {
+    const R total = prep_total_fold(k, x, dim, g, s, threads);
+    const R proj =
+        teleport_collapse_fold(k, x, out, dim, q, pmask, e0, e1, g, s, threads);
+    return {total, proj};
+  }
+  const std::uint64_t stride = std::uint64_t{1} << q;
+  const std::uint64_t nch = (dim / 2) / kChunkAmps;  // rank chunks
+  const std::uint64_t nx = dim / kChunkAmps;         // x chunks
+  auto& p = detail::parts<R>();
+  p.resize(2 * nch + nx);
+  R* proj_parts = p.data();
+  R* x_parts = p.data() + 2 * nch;
+  parallel_for_threads(static_cast<std::int64_t>(nch), threads, [&](auto c) {
+    const std::uint64_t r0 = c * kChunkAmps;
+    const bool wide = stride >= kChunkAmps;
+    const std::uint64_t lo = wide ? insert_zero_bit(r0, q) : 2 * r0;
+    const std::uint64_t hi = lo + (wide ? stride : kChunkAmps);
+    x_parts[lo / kChunkAmps] = k.fold_norms_scaled(x + lo, kChunkAmps, g, s);
+    x_parts[hi / kChunkAmps] = k.fold_norms_scaled(x + hi, kChunkAmps, g, s);
+    k.teleport_collapse_range(x, out, dim, q, pmask, e0, e1, g, s, r0,
+                              r0 + kChunkAmps, &proj_parts[c],
+                              &proj_parts[nch + c]);
+  });
+  return {detail::doubled_total(x_parts, nx),
+          detail::combine(proj_parts, 2 * nch)};
 }
 
 // --- interpreted-path prep (add_wire_plus_cz) --------------------------------

@@ -64,6 +64,35 @@ void DynamicStatevector::reset() {
   peak_live_ = 0;
   fold_ = 1.0;
   fold_valid_ = true;
+  gain_ = 1.0;
+  gain_pending_ = false;
+}
+
+template <class R>
+void DynamicStatevector::settle_impl() {
+  auto& a = amps<R>();
+  fold_ = static_cast<real>(thr::scale_fold(kernels_t<R>(), a.data(),
+                                            a.size(), static_cast<R>(gain_),
+                                            num_threads()));
+}
+
+void DynamicStatevector::settle() {
+  if (!gain_pending_) return;
+  if (prec_ == Precision::F64)
+    settle_impl<double>();
+  else
+    settle_impl<float>();
+  gain_ = 1.0;
+  gain_pending_ = false;
+  fold_valid_ = true;  // scale_fold refreshes the canonical fold
+}
+
+template <class R>
+void DynamicStatevector::defer_gain(R nrm2) {
+  gain_ = static_cast<real>(
+      static_cast<R>(1.0 / std::sqrt(static_cast<real>(nrm2))));
+  gain_pending_ = true;
+  fold_valid_ = false;
 }
 
 int DynamicStatevector::position(int wire) const {
@@ -98,6 +127,7 @@ void DynamicStatevector::add_wire_impl(bool plus) {
 void DynamicStatevector::add_wire(int wire, bool plus) {
   MBQ_REQUIRE(!has_wire(wire), "wire " << wire << " already live");
   MBQ_REQUIRE(order_.size() < 28, "too many live wires");
+  settle();
   fold_valid_ = false;
   if (prec_ == Precision::F64)
     add_wire_impl<double>(plus);
@@ -139,6 +169,7 @@ void DynamicStatevector::apply_1q_impl(int q, const Matrix& u) {
 
 void DynamicStatevector::apply_1q(int wire, const Matrix& u) {
   MBQ_REQUIRE(u.rows() == 2 && u.cols() == 2, "apply_1q needs 2x2");
+  settle();
   fold_valid_ = false;
   const int q = position(wire);
   if (prec_ == Precision::F64)
@@ -163,6 +194,7 @@ void DynamicStatevector::apply_x(int wire) {
   // X is a pure amplitude swap: the swap-pass kernel with no phase
   // masks.  The swap reorders elements, so the norm fold is invalidated
   // (per-element norms survive, their fold order does not).
+  settle();
   fold_valid_ = false;
   const std::uint64_t xmask = std::uint64_t{1} << position(wire);
   if (prec_ == Precision::F64)
@@ -183,6 +215,7 @@ void DynamicStatevector::apply_z(int wire) {
   // Z only negates the bit-set half.  Per-element norms and their order
   // are untouched, so the fold stays valid.
   const std::uint64_t stride = std::uint64_t{1} << position(wire);
+  settle();
   if (prec_ == Precision::F64)
     sign_pass_impl<double>(stride, 0, false);
   else
@@ -201,6 +234,7 @@ void DynamicStatevector::apply_rz(int wire, real theta) {
   // apply_1q(diag(1, e^{iθ})) on the touched half at a third of the
   // work, and the fold stays usable (see the fold_ contract note).
   const int q = position(wire);
+  settle();
   if (prec_ == Precision::F64)
     apply_rz_impl<double>(q, std::exp(kI * theta));
   else
@@ -211,6 +245,7 @@ void DynamicStatevector::apply_cz(int wire_a, int wire_b) {
   MBQ_REQUIRE(wire_a != wire_b, "CZ needs two distinct wires");
   const std::uint64_t mask = (std::uint64_t{1} << position(wire_a)) |
                              (std::uint64_t{1} << position(wire_b));
+  settle();
   // Sign flips preserve per-element norms in place: fold stays valid.
   if (prec_ == Precision::F64)
     sign_pass_impl<double>(mask, 0, false);
@@ -233,6 +268,7 @@ void DynamicStatevector::apply_cz_depolarize(int wire_a, int wire_b, real p,
     apply_cz(wire_a, wire_b);
     return;
   }
+  settle();
   // Draw the noise decisions first, in the order the sequential
   // composition (CZ, then per-wire Pauli checks for a, then b) would.
   // The draws are state-independent, so this preserves the rng stream;
@@ -286,6 +322,7 @@ void DynamicStatevector::add_wire_plus_cz(int wire,
                                           std::uint64_t partner_pos_mask) {
   MBQ_REQUIRE(!has_wire(wire), "wire " << wire << " already live");
   MBQ_REQUIRE(order_.size() < 28, "too many live wires");
+  settle();
   if (prec_ == Precision::F64)
     add_plus_cz_impl<double>(partner_pos_mask);
   else
@@ -306,6 +343,7 @@ void DynamicStatevector::cz_masks_impl(const std::uint64_t* pair_masks,
 
 void DynamicStatevector::apply_cz_masks(const std::uint64_t* pair_masks,
                                         int count) {
+  settle();
   if (prec_ == Precision::F64)
     cz_masks_impl<double>(pair_masks, count);
   else
@@ -315,8 +353,9 @@ void DynamicStatevector::apply_cz_masks(const std::uint64_t* pair_masks,
 
 void DynamicStatevector::apply_pauli_masks(std::uint64_t xmask,
                                            std::uint64_t zmask, bool negate) {
+  if (xmask == 0 && zmask == 0 && !negate) return;
+  settle();
   if (xmask == 0) {
-    if (zmask == 0 && !negate) return;
     if (prec_ == Precision::F64)
       sign_pass_impl<double>(0, zmask, negate);
     else
@@ -338,6 +377,7 @@ int DynamicStatevector::prep_cz_measure_impl(std::uint64_t partner_pos_mask,
   auto& sc = scratch<R>();
   const std::uint64_t dim = a.size();
   sc.resize(dim);
+  const R g = static_cast<R>(gain_);
   const R s = static_cast<R>(1.0 / std::sqrt(2.0));
   const CollapseKernelsT<R>& kn = kernels_t<R>();
   const int threads = num_threads();
@@ -351,8 +391,8 @@ int DynamicStatevector::prep_cz_measure_impl(std::uint64_t partner_pos_mask,
     // passes — the cache-blocking win at large dim.
     const auto f = thr::prep_collapse_with_total(
         kn, a.data(), sc.data(), dim, partner_pos_mask,
-        to_c<R>(std::conj(basis(0, 1))), to_c<R>(std::conj(basis(1, 1))), s,
-        threads);
+        to_c<R>(std::conj(basis(0, 1))), to_c<R>(std::conj(basis(1, 1))), g,
+        s, threads);
     const real total =
         std::norm(std::sqrt(static_cast<real>(f.total)));
     MBQ_REQUIRE(total > kMinBornNorm2, "zero state");
@@ -364,17 +404,14 @@ int DynamicStatevector::prep_cz_measure_impl(std::uint64_t partner_pos_mask,
   if (outcome != 1 || forced != -1) {
     nrm2 = thr::prep_collapse(kn, a.data(), sc.data(), dim, partner_pos_mask,
                               to_c<R>(std::conj(basis(0, outcome))),
-                              to_c<R>(std::conj(basis(1, outcome))), s,
+                              to_c<R>(std::conj(basis(1, outcome))), g, s,
                               threads);
   }
   MBQ_REQUIRE(static_cast<real>(nrm2) > kMinProjectionNorm2,
               "forced outcome " << outcome << " on wire " << wire
                                 << " has zero probability");
-  fold_ = static_cast<real>(thr::scale_fold(
-      kn, sc.data(), dim,
-      static_cast<R>(1.0 / std::sqrt(static_cast<real>(nrm2))), threads));
+  defer_gain(nrm2);
   std::swap(a, sc);
-  fold_valid_ = true;
   return outcome;
 }
 
@@ -408,42 +445,41 @@ int DynamicStatevector::teleport_measure_impl(std::uint64_t partner_pos_mask,
   auto& sc = scratch<R>();
   const std::uint64_t dim = a.size();
   sc.resize(dim);
+  const R g = static_cast<R>(gain_);
   const R s = static_cast<R>(1.0 / std::sqrt(2.0));
   const CollapseKernelsT<R>& kn = kernels_t<R>();
   const int threads = num_threads();
+  const auto e = [&](int row, int m) {
+    return to_c<R>(std::conj(basis(row, m)));
+  };
 
   // Projection fold fused into the collapse pass (the chunked driver
   // folds each out block as it is written instead of re-reading the
-  // whole vector afterwards).
-  const auto project = [&](int m) {
-    return thr::teleport_collapse_fold(kn, a.data(), sc.data(), dim, q,
-                                       partner_pos_mask,
-                                       to_c<R>(std::conj(basis(0, m))),
-                                       to_c<R>(std::conj(basis(1, m))), s,
-                                       threads);
-  };
-
+  // whole vector afterwards); a sampled teleport folds the Born
+  // denominator over the blocks it reads in that same pass.
   int outcome;
   R nrm2 = R(0);
   if (forced == -1) {
-    const real total = std::norm(std::sqrt(static_cast<real>(
-        thr::prep_total_fold(kn, a.data(), dim, s, threads))));
+    const auto f = thr::teleport_collapse_with_total(
+        kn, a.data(), sc.data(), dim, q, partner_pos_mask, e(0, 1), e(1, 1),
+        g, s, threads);
+    const real total = std::norm(std::sqrt(static_cast<real>(f.total)));
     MBQ_REQUIRE(total > kMinBornNorm2, "zero state");
-    const R p1 = project(1);
-    outcome = rng.bernoulli(static_cast<real>(p1) / total) ? 1 : 0;
-    nrm2 = p1;
+    outcome = rng.bernoulli(static_cast<real>(f.proj) / total) ? 1 : 0;
+    nrm2 = f.proj;  // outcome 1: the projections are already in scratch
   } else {
     outcome = forced;
   }
-  if (outcome != 1 || forced != -1) nrm2 = project(outcome);
+  if (outcome != 1 || forced != -1) {
+    nrm2 = thr::teleport_collapse_fold(kn, a.data(), sc.data(), dim, q,
+                                       partner_pos_mask, e(0, outcome),
+                                       e(1, outcome), g, s, threads);
+  }
   MBQ_REQUIRE(static_cast<real>(nrm2) > kMinProjectionNorm2,
               "forced outcome " << outcome << " on wire " << meas_wire
                                 << " has zero probability");
-  fold_ = static_cast<real>(thr::scale_fold(
-      kn, sc.data(), dim,
-      static_cast<R>(1.0 / std::sqrt(static_cast<real>(nrm2))), threads));
+  defer_gain(nrm2);
   std::swap(a, sc);
-  fold_valid_ = true;
   return outcome;
 }
 
@@ -492,11 +528,13 @@ real DynamicStatevector::prob_one_impl(int q, const Matrix& basis) const {
   // the canonical fold so it agrees bitwise with the sampling paths.
   const C e10 = to_c<R>(std::conj(basis(0, 1)));
   const C e11 = to_c<R>(std::conj(basis(1, 1)));
+  const R g = static_cast<R>(gain_);
   real p1 = 0.0;
   const std::uint64_t pairs = a.size() / 2;
   for (std::uint64_t k = 0; k < pairs; ++k) {
     const std::uint64_t i0 = insert_zero_bit(k, q);
-    p1 += static_cast<real>(std::norm(e10 * a[i0] + e11 * a[i0 | stride]));
+    p1 += static_cast<real>(
+        std::norm(e10 * (a[i0] * g) + e11 * (a[i0 | stride] * g)));
   }
   const real total = std::norm(norm());
   MBQ_REQUIRE(total > kMinBornNorm2, "zero state");
@@ -575,6 +613,7 @@ int DynamicStatevector::measure_remove(int wire, const Matrix& basis, Rng& rng,
   MBQ_REQUIRE(basis.rows() == 2 && basis.cols() == 2, "basis must be 2x2");
   MBQ_REQUIRE(forced >= -1 && forced <= 1, "forced outcome must be -1/0/1");
   const int q = position(wire);
+  settle();
   const int outcome =
       prec_ == Precision::F64
           ? measure_remove_impl<double>(q, basis, rng, forced, wire)
@@ -609,12 +648,13 @@ template <class R>
 std::vector<cplx> DynamicStatevector::state_in_order_impl(
     const GatherTable& table) const {
   const auto& a = amps<R>();
+  const R g = static_cast<R>(gain_);
   // Widened to cplx on read: the reference-comparison helpers stay
   // precision-agnostic (float -> double widening is exact).
   std::vector<cplx> out(a.size());
   std::uint64_t from = 0;
   for (std::uint64_t j = 0;;) {
-    out[j] = cplx(a[from]);
+    out[j] = cplx(a[from] * g);
     if (++j >= out.size()) break;
     from ^= table.flip[std::countr_zero(j) + 1];
   }
@@ -641,9 +681,10 @@ template <class R>
 std::uint64_t DynamicStatevector::sample_in_order_impl(const GatherTable& table,
                                                        real u) const {
   const auto& a = amps<R>();
+  const R g = static_cast<R>(gain_);
   std::uint64_t from = 0;
   for (std::uint64_t j = 0;;) {
-    u -= static_cast<real>(std::norm(a[from]));
+    u -= static_cast<real>(std::norm(a[from] * g));
     if (u <= 0.0 || j + 1 == a.size()) return j;
     ++j;
     from ^= table.flip[std::countr_zero(j) + 1];
@@ -667,10 +708,42 @@ std::uint64_t DynamicStatevector::sample_in_order(const std::vector<int>& wires,
 }
 
 template <class R>
+real DynamicStatevector::expectation_in_order_impl(
+    const GatherTable& table, const std::vector<real>& diag,
+    std::uint64_t flip) const {
+  const auto& a = amps<R>();
+  const R g = static_cast<R>(gain_);
+  real acc = 0.0;
+  std::uint64_t from = 0;
+  for (std::uint64_t j = 0;;) {
+    acc += std::norm(cplx(a[from] * g)) * diag[j ^ flip];
+    if (++j >= a.size()) return acc;
+    from ^= table.flip[std::countr_zero(j) + 1];
+  }
+}
+
+real DynamicStatevector::expectation_in_order(const GatherTable& table,
+                                              const std::vector<real>& diag,
+                                              std::uint64_t flip) const {
+  MBQ_REQUIRE(table.src.size() == order_.size(),
+              "gather table covers " << table.src.size() << " wires, "
+                                     << order_.size() << " live");
+  MBQ_REQUIRE(diag.size() == dim(), "diagonal has " << diag.size()
+                                                    << " entries, register "
+                                                    << dim());
+  MBQ_REQUIRE(flip < dim(), "flip mask " << flip << " outside the register");
+  return prec_ == Precision::F64
+             ? expectation_in_order_impl<double>(table, diag, flip)
+             : expectation_in_order_impl<float>(table, diag, flip);
+}
+
+template <class R>
 real DynamicStatevector::norm_impl() const {
   const auto& a = amps<R>();
-  return std::sqrt(static_cast<real>(thr::fold_norms(
-      kernels_t<R>(), a.data(), a.size(), num_threads())));
+  // s = 1: the fold of the settled values a·g (g = 1 is exact).
+  return std::sqrt(static_cast<real>(
+      thr::fold_norms_scaled(kernels_t<R>(), a.data(), a.size(),
+                             static_cast<R>(gain_), R(1), num_threads())));
 }
 
 real DynamicStatevector::norm() const {
@@ -695,6 +768,7 @@ void DynamicStatevector::normalize_impl() {
 }
 
 void DynamicStatevector::normalize() {
+  settle();
   if (prec_ == Precision::F64)
     normalize_impl<double>();
   else

@@ -131,9 +131,12 @@ class DynamicStatevector {
   // Each replaces a sequence of the primitive operations above with one
   // amplitude pass, producing bit-identical amplitudes and outcome
   // streams (everything they fuse is a scale, a sign flip, an index swap
-  // or a sum evaluated in the canonical kernel order).  They also
-  // maintain the running norm fold (see fold_ below), which lets the
-  // next sampled measurement skip its full normalization pass.
+  // or a sum evaluated in the canonical kernel order).  add_wire_plus_cz
+  // maintains the running norm fold (see fold_ below), which lets the
+  // next sampled measurement skip its full normalization pass.  The two
+  // fused measures leave their collapsed state unnormalized instead, with
+  // the renormalization gain pending (see gain_ below): a chain of them
+  // never runs a scale pass of its own.
 
   /// add_wire(wire, plus=true) immediately followed by a CZ against
   /// every live wire whose POSITION bit is set in partner_pos_mask, as
@@ -157,8 +160,9 @@ class DynamicStatevector {
   /// `basis` — without ever materializing the doubled register.  The
   /// upper amplitude half is ±(scaled lower half), so probabilities,
   /// projections and the collapsed state are computed straight from the
-  /// untouched register: the whole N;E...;M block costs ~3 passes at the
-  /// SMALL dimension.  Contract matches measure_remove.
+  /// untouched register: the whole N;E...;M block costs one pass at the
+  /// SMALL dimension, plus a re-projection when a draw gives 0 (1.5 on
+  /// average).  Contract matches measure_remove.
   int prep_cz_measure(int wire, std::uint64_t partner_pos_mask,
                       const Matrix& basis, Rng& rng, int forced = -1);
 
@@ -167,7 +171,8 @@ class DynamicStatevector {
   /// `meas_wire` (a DIFFERENT, live wire) in `basis`.  Again the doubled
   /// register never exists — the virtual upper half is ±(scaled lower
   /// half), so the collapse reads the untouched register directly and
-  /// writes the final (same-sized) state in one pass.  After the call
+  /// writes the final (same-sized) state in one pass, which also folds
+  /// the Born denominator when sampling.  After the call
   /// `meas_wire` is gone and `new_wire` is live at the top position,
   /// exactly as the sequential chain would leave them.
   int prep_cz_teleport_measure(int new_wire, std::uint64_t partner_pos_mask,
@@ -207,18 +212,38 @@ class DynamicStatevector {
   std::uint64_t sample_in_order(const std::vector<int>& wires, real u) const;
   std::uint64_t sample_in_order(const GatherTable& table, real u) const;
 
+  /// Σ_j |amp_j|² · diag[j ^ flip] over the state_in_order(table)
+  /// amplitudes in ascending j, WITHOUT materializing the copy: the
+  /// expectation of a diagonal observable under an X-flip of the
+  /// readout (a cost table and a byproduct mask).  Bit-identical to the
+  /// same serial fold over the gathered vector, amplitudes widened to
+  /// cplx before squaring.  diag must hold dim() entries.
+  real expectation_in_order(const GatherTable& table,
+                            const std::vector<real>& diag,
+                            std::uint64_t flip) const;
+
   real norm() const;
   void normalize();
 
   /// The running norm fold and its validity — introspection for the
   /// scalar-vs-SIMD differential tests, which assert fold values
-  /// bit-identical across ISAs.
+  /// bit-identical across ISAs.  Invalid while a gain is pending.
   real norm_fold() const noexcept { return fold_; }
   bool norm_fold_valid() const noexcept { return fold_valid_; }
 
  private:
   int position(int wire) const;
   void set_position(int wire, int p);
+
+  /// Apply a pending gain in place: one scale_fold pass, which also
+  /// leaves the fold an eager renormalization would have left.  A no-op
+  /// when none is pending.  Every mutator except the two fused measures
+  /// calls it first.
+  void settle();
+  /// Record R(1/√nrm2) as the pending gain of the state a fused
+  /// measure just collapsed.
+  template <class R>
+  void defer_gain(R nrm2);
 
   /// Active amplitude / scratch storage for element type R.  The class
   /// is runtime-polymorphic over precision (one enum member, two buffer
@@ -248,6 +273,8 @@ class DynamicStatevector {
 
   template <class R>
   void reset_impl();
+  template <class R>
+  void settle_impl();
   template <class R>
   void add_wire_impl(bool plus);
   template <class R>
@@ -283,6 +310,10 @@ class DynamicStatevector {
   template <class R>
   std::uint64_t sample_in_order_impl(const GatherTable& table, real u) const;
   template <class R>
+  real expectation_in_order_impl(const GatherTable& table,
+                                 const std::vector<real>& diag,
+                                 std::uint64_t flip) const;
+  template <class R>
   real norm_impl() const;
   template <class R>
   void normalize_impl();
@@ -302,16 +333,29 @@ class DynamicStatevector {
   // Running Σ|amp|² in the kernels' canonical fold order — bitwise equal
   // to what a fresh kernels().fold_norms pass would compute, which is
   // the ONLY reason a sampled measurement may reuse it (Born
-  // probabilities stay bit-identical).  Maintained by the fused kernels
-  // and the measure collapses; sign passes (Z, CZ, Pauli-Z) keep it
-  // valid untouched.  apply_rz also keeps it usable: the phase preserves
-  // every |amp|² mathematically but re-rounds the squares, so after an
-  // rz the fold is within an ulp of (not bitwise equal to) a fresh pass
-  // — acceptable because no cross-path comparison ever runs through
-  // apply_rz (pattern execution lowers rotations into measurement
-  // angles).  Everything else invalidates it.
+  // probabilities stay bit-identical).  Maintained by add_wire_plus_cz,
+  // measure_remove, normalize and settle(); sign passes (Z, CZ, Pauli-Z)
+  // keep it valid untouched.  apply_rz also keeps it usable: the phase
+  // preserves every |amp|² mathematically but re-rounds the squares, so
+  // after an rz the fold is within an ulp of (not bitwise equal to) a
+  // fresh pass — acceptable because no cross-path comparison ever runs
+  // through apply_rz (pattern execution lowers rotations into
+  // measurement angles).  A pending gain and everything else invalidate
+  // it; settle() makes it valid again.
   real fold_ = 1.0;
   bool fold_valid_ = true;
+
+  // The deferred renormalization of the last fused measure: the stored
+  // amplitudes are the raw projections y, and the state is y·g with
+  // g = R(1/√|y|²) rounded once per element.  The next fused measure
+  // reads (y·g)·s in its kernels, exactly the two roundings a scale
+  // pass and its own ·s would perform.  Const readers (state_in_order,
+  // sample_in_order, expectation_in_order, norm, prob_one) apply g the
+  // same way without mutating; every other mutator settles first.
+  // gain_ is 1 (exact) when nothing is pending, so readers and kernels
+  // apply it unconditionally.  Stored widened; R(gain_) is exact.
+  real gain_ = 1.0;
+  bool gain_pending_ = false;
 };
 
 }  // namespace mbq

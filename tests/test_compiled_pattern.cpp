@@ -5,13 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "mbq/api/api.h"
 #include "mbq/common/bits.h"
 #include "mbq/common/parallel.h"
@@ -22,28 +20,14 @@
 #include "mbq/mbqc/runner.h"
 #include "mbq/qaoa/qaoa.h"
 
-// --- global allocation counter ----------------------------------------
-// Replaces the global operator new/delete for THIS test binary so the
-// zero-steady-state-allocation contract of the shot loop is a tested
-// invariant, not a comment.  Counting is monotonic; tests snapshot the
-// counter around the region that must not allocate.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// This binary links alloc_counter.cpp, whose global operator new counts
+// every allocation: the zero-steady-state-allocation contracts of the
+// shot and expectation loops are tested invariants, not comments.
 
 namespace mbq::mbqc {
 namespace {
+
+using test::allocation_count;
 
 struct Shape {
   std::string name;
@@ -364,10 +348,10 @@ TEST(CompiledPattern, SteadyStateShotLoopAllocatesNothing) {
       core::compile_qaoa(cost, angles).pattern);
   PatternExecutor exec(compiled);
   for (int shot = 0; shot < 5; ++shot) exec.run_sample(rng);  // warm up
-  const std::uint64_t before = g_alloc_count.load();
+  const std::uint64_t before = allocation_count();
   std::uint64_t sink = 0;
   for (int shot = 0; shot < 50; ++shot) sink ^= exec.run_sample(rng).x;
-  const std::uint64_t after = g_alloc_count.load();
+  const std::uint64_t after = allocation_count();
   EXPECT_EQ(after - before, 0u) << "sink " << sink;
 }
 
@@ -386,11 +370,44 @@ TEST(CompiledPattern, SteadyStateShotLoopAllocatesNothingWithThreads) {
       core::compile_qaoa(cost, angles).pattern);
   PatternExecutor exec(compiled);
   for (int shot = 0; shot < 5; ++shot) exec.run_sample(rng);  // warm up
-  const std::uint64_t before = g_alloc_count.load();
+  const std::uint64_t before = allocation_count();
   std::uint64_t sink = 0;
   for (int shot = 0; shot < 50; ++shot) sink ^= exec.run_sample(rng).x;
-  const std::uint64_t after = g_alloc_count.load();
+  const std::uint64_t after = allocation_count();
   EXPECT_EQ(after - before, 0u) << "sink " << sink;
+}
+
+TEST(CompiledPattern, SteadyStateExpectationLoopAllocatesNothing) {
+  // MbqcBackend::expectation folds <C> straight from the executor's
+  // arena through the cached gather table.  Once the arena, the outcome
+  // buffer, the table, the chunk-partial slots and the workload's cost
+  // table exist, an evaluation performs ZERO heap allocations: at f64
+  // and f32, at 1 and 4 threads, and with the register above the chunk
+  // cutoff (C14: 2^14-amplitude gadgets, a 15-wire peak).
+  struct ThreadGuard {
+    int saved = num_threads();
+    ~ThreadGuard() { set_num_threads(saved); }
+  } guard;
+  Rng rng(41);
+  const qaoa::Angles angles = qaoa::Angles::random(1, rng);
+  const auto backend = api::BackendRegistry::instance().create("mbqc");
+  for (const Precision prec : {Precision::F64, Precision::F32}) {
+    api::Workload w = api::Workload::maxcut(cycle_graph(14));
+    w.with_precision(prec);
+    const auto prep = backend->prepare(w, angles);
+    for (const int threads : {1, 4}) {
+      set_num_threads(threads);
+      for (int i = 0; i < 2; ++i)
+        backend->expectation(w, angles, rng, prep.get());  // warm up
+      const std::uint64_t before = allocation_count();
+      real sink = 0.0;
+      for (int i = 0; i < 3; ++i)
+        sink += backend->expectation(w, angles, rng, prep.get());
+      EXPECT_EQ(allocation_count() - before, 0u)
+          << precision_name(prec) << " threads " << threads << " sink "
+          << sink;
+    }
+  }
 }
 
 TEST(CompiledPattern, ChunkedThreadedSweepsAllocateNothingInSteadyState) {
@@ -418,9 +435,9 @@ TEST(CompiledPattern, ChunkedThreadedSweepsAllocateNothingInSteadyState) {
   };
   sweep();
   sweep();  // warm up the chunk-partial slots
-  const std::uint64_t before = g_alloc_count.load();
+  const std::uint64_t before = allocation_count();
   for (int i = 0; i < 8; ++i) sweep();
-  EXPECT_EQ(g_alloc_count.load() - before, 0u);
+  EXPECT_EQ(allocation_count() - before, 0u);
 }
 
 }  // namespace

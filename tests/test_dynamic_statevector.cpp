@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "mbq/common/parallel.h"
 #include "mbq/common/rng.h"
 #include "mbq/linalg/unitaries.h"
 #include "mbq/sim/dynamic_statevector.h"
@@ -280,6 +284,150 @@ TEST(DynamicSv, ProjectionNormBoundary) {
   EXPECT_THROW(
       bad.measure_remove(0, measurement_basis(MeasBasis::Z, 0.0), rng, 1),
       Error);
+}
+
+// --- deferred renormalization ---------------------------------------------
+// A fused measure leaves its collapsed state unnormalized with the gain
+// pending.  Every reader must see, and every mutator must start from,
+// exactly the register the primitive chain (add_wire, apply_cz...,
+// measure_remove) leaves: amplitudes, outcomes and the norm fold bit for
+// bit, at both precisions, sampled and forced, below and above the chunk
+// cutoff.
+
+bool same_bits(real a, real b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool same_bits(const std::vector<cplx>& a, const std::vector<cplx>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+/// Amplitudes, live layout and the norm fold (value and validity).
+void expect_same_register(const DynamicStatevector& fused,
+                          const DynamicStatevector& chain) {
+  ASSERT_EQ(fused.wire_order(), chain.wire_order());
+  EXPECT_TRUE(same_bits(fused.state_in_order(fused.wire_order()),
+                        chain.state_in_order(chain.wire_order())));
+  EXPECT_EQ(fused.norm_fold_valid(), chain.norm_fold_valid());
+  EXPECT_TRUE(same_bits(fused.norm_fold(), chain.norm_fold()));
+}
+
+/// Every public reader on the registers as they stand, then every
+/// mutator on copies of each.
+void expect_same_after_every_call(const DynamicStatevector& fused,
+                                  const DynamicStatevector& chain,
+                                  std::uint64_t seed) {
+  const std::vector<int> wires = chain.wire_order();
+  ASSERT_EQ(fused.wire_order(), wires);
+  EXPECT_FALSE(fused.norm_fold_valid()) << "no gain pending";
+  EXPECT_TRUE(same_bits(fused.state_in_order(wires),
+                        chain.state_in_order(wires)));
+  for (const real u : {0.13, 0.5, 0.97})
+    EXPECT_EQ(fused.sample_in_order(wires, u), chain.sample_in_order(wires, u));
+  EXPECT_TRUE(same_bits(fused.norm(), chain.norm()));
+  const Matrix xy = measurement_basis(MeasBasis::XY, 0.41);
+  for (const int w : {wires.front(), wires.back()})
+    EXPECT_TRUE(same_bits(fused.prob_one(w, xy), chain.prob_one(w, xy)));
+  std::vector<real> diag(chain.dim());
+  for (std::size_t x = 0; x < diag.size(); ++x)
+    diag[x] = std::cos(0.37 * static_cast<real>(x));
+  DynamicStatevector::GatherTable table;
+  chain.fill_gather_table(wires, table);
+  EXPECT_TRUE(same_bits(fused.expectation_in_order(table, diag, 5),
+                        chain.expectation_in_order(table, diag, 5)));
+
+  const auto mutated = [&](const std::string& what, auto&& op) {
+    SCOPED_TRACE(what);
+    DynamicStatevector a = fused, b = chain;
+    Rng ra(seed), rb(seed);
+    EXPECT_EQ(op(a, ra), op(b, rb));
+    expect_same_register(a, b);
+  };
+  const std::uint64_t top = std::uint64_t{1} << (wires.size() - 1);
+  mutated("measure_remove", [&](DynamicStatevector& d, Rng& rng) {
+    return d.measure_remove(wires[1], xy, rng);
+  });
+  mutated("add_wire", [](DynamicStatevector& d, Rng&) {
+    d.add_wire(99);
+    return 0;
+  });
+  mutated("apply_cz_masks", [&](DynamicStatevector& d, Rng&) {
+    const std::uint64_t masks[2] = {0b11, top | 0b100};
+    d.apply_cz_masks(masks, 2);
+    return 0;
+  });
+  mutated("apply_pauli_masks (swap)", [&](DynamicStatevector& d, Rng&) {
+    d.apply_pauli_masks(0b10, top | 0b1, true);
+    return 0;
+  });
+  mutated("apply_pauli_masks (sign)", [&](DynamicStatevector& d, Rng&) {
+    d.apply_pauli_masks(0, top | 0b110, false);
+    return 0;
+  });
+  mutated("normalize", [](DynamicStatevector& d, Rng&) {
+    d.normalize();
+    return 0;
+  });
+}
+
+TEST(DynamicSv, PendingGainMatchesPrimitiveChainBitForBit) {
+  // Gadgets and J-step teleports alternate, so each fused op also reads
+  // the gain its predecessor left.  Teleports measure position 0 and the
+  // top position, the two J-step shapes of the bench families.  One
+  // kernel thread: the chunk decomposition does not depend on it
+  // (test_simd_kernels sweeps thread counts), and a team per op would
+  // make this test slow whenever other processes hold the cores.
+  struct ThreadGuard {
+    int saved = num_threads();
+    ~ThreadGuard() { set_num_threads(saved); }
+  } guard;
+  set_num_threads(1);
+  const Matrix yz = measurement_basis(MeasBasis::YZ, 0.9);
+  const Matrix xy = measurement_basis(MeasBasis::XY, -0.6);
+  for (const Precision prec : {Precision::F64, Precision::F32}) {
+    for (const int n : {5, 13, 14}) {  // 13, 14: across the chunk cutoff
+      for (const int forced : {-1, 0, 1}) {
+        SCOPED_TRACE(std::string(precision_name(prec)) + " n=" +
+                     std::to_string(n) + " forced=" + std::to_string(forced));
+        DynamicStatevector chain(prec);
+        for (int w = 0; w < n; ++w) chain.add_wire(w);
+        for (int w = 0; w + 1 < n; ++w) chain.apply_cz(w, w + 1);
+        chain.apply_rz(2, 0.7);
+        chain.normalize();
+        DynamicStatevector fused = chain;
+        Rng rf(17), rc(17);
+        int next = n;
+        for (int step = 0; step < 6; ++step) {
+          SCOPED_TRACE("step " + std::to_string(step));
+          const std::vector<int> order = chain.wire_order();
+          int got, want;
+          if (step % 2 == 0) {
+            // Gadget: partners at positions 0, 2 and the top.
+            const std::vector<int> partners = {order[0], order[2],
+                                               order.back()};
+            const std::uint64_t pmask =
+                0b101 | (std::uint64_t{1} << (order.size() - 1));
+            got = fused.prep_cz_measure(next, pmask, yz, rf, forced);
+            chain.add_wire(next);
+            for (const int p : partners) chain.apply_cz(next, p);
+            want = chain.measure_remove(next, yz, rc, forced);
+          } else {
+            // J step: the fresh wire's partner is the measured wire.
+            const int q =
+                step % 4 == 1 ? 0 : static_cast<int>(order.size()) - 1;
+            const int meas = order[static_cast<std::size_t>(q)];
+            got = fused.prep_cz_teleport_measure(
+                next, std::uint64_t{1} << q, meas, xy, rf, forced);
+            chain.add_wire(next);
+            chain.apply_cz(next, meas);
+            want = chain.measure_remove(meas, xy, rc, forced);
+          }
+          ++next;
+          ASSERT_EQ(got, want);
+          expect_same_after_every_call(fused, chain, 31 + step);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -85,6 +85,12 @@ std::vector<cplx> random_amps(Rng& rng, std::size_t n) {
   return v;
 }
 
+/// The gain a fused measure leaves pending: 1 (none) or a random value
+/// in (0.5, 2).
+double random_gain(Rng& rng) {
+  return rng.uniform_index(2) == 0 ? 1.0 : 0.5 + 1.5 * rng.uniform();
+}
+
 cplx random_eff(Rng& rng, int kind_sel) {
   const double r = rng.uniform() * 2.0 - 1.0;
   const double i = rng.uniform() * 2.0 - 1.0;
@@ -127,13 +133,14 @@ TEST(SimdKernels, RandomizedKernelsMatchScalarBitwise) {
       const std::size_t n = 1 + rng.uniform_index(400);
       const auto x = random_amps(rng, n);
       const double sc = rng.uniform() + 0.25;
+      const double g = random_gain(rng);
 
       EXPECT_PRED2(same_fold, s.fold_norms(x.data(), n),
                    k.fold_norms(x.data(), n));
-      EXPECT_PRED2(same_fold, s.fold_norms_scaled(x.data(), n, sc),
-                   k.fold_norms_scaled(x.data(), n, sc));
-      EXPECT_PRED2(same_fold, s.prep_total_fold(x.data(), n, sc),
-                   k.prep_total_fold(x.data(), n, sc));
+      EXPECT_PRED2(same_fold, s.fold_norms_scaled(x.data(), n, g, sc),
+                   k.fold_norms_scaled(x.data(), n, g, sc));
+      EXPECT_PRED2(same_fold, s.prep_total_fold(x.data(), n, g, sc),
+                   k.prep_total_fold(x.data(), n, g, sc));
 
       auto a = x, b = x;
       EXPECT_PRED2(same_fold, s.scale_fold(a.data(), n, sc),
@@ -150,6 +157,7 @@ TEST(SimdKernels, RandomizedKernelsMatchScalarBitwise) {
       const int q = rng.uniform_index(nq);
       const std::uint64_t pmask = rng.uniform_index(dim);
       const double sc = rng.uniform() + 0.25;
+      const double g = random_gain(rng);
 
       std::vector<cplx> oa(dim / 2), ob(dim / 2);
       EXPECT_PRED2(same_fold,
@@ -161,12 +169,12 @@ TEST(SimdKernels, RandomizedKernelsMatchScalarBitwise) {
       ob.assign(dim, cplx{});
       EXPECT_PRED2(
           same_fold,
-          s.prep_collapse(x.data(), oa.data(), dim, pmask, e0, e1, sc),
-          k.prep_collapse(x.data(), ob.data(), dim, pmask, e0, e1, sc));
+          s.prep_collapse(x.data(), oa.data(), dim, pmask, e0, e1, g, sc),
+          k.prep_collapse(x.data(), ob.data(), dim, pmask, e0, e1, g, sc));
       EXPECT_TRUE(buffers_bit_equal(oa, ob));
 
-      s.teleport_collapse(x.data(), oa.data(), dim, q, pmask, e0, e1, sc);
-      k.teleport_collapse(x.data(), ob.data(), dim, q, pmask, e0, e1, sc);
+      s.teleport_collapse(x.data(), oa.data(), dim, q, pmask, e0, e1, g, sc);
+      k.teleport_collapse(x.data(), ob.data(), dim, q, pmask, e0, e1, g, sc);
       EXPECT_TRUE(buffers_bit_equal(oa, ob));
 
       auto ga = x, gb = x;
@@ -387,6 +395,7 @@ TEST(SimdKernels, RandomizedRangedKernelsMatchScalarBitwise) {
       const cplx e0 = random_eff(rng, rng.uniform_index(3));
       const cplx e1 = random_eff(rng, rng.uniform_index(3));
       const double sc = rng.uniform() + 0.25;
+      const double g = random_gain(rng);
       // A third of the reps measure position 0 or 1, the J-step shape the
       // vector flavors gather below one register.
       const bool narrow = rep % 3 == 0;
@@ -409,22 +418,23 @@ TEST(SimdKernels, RandomizedRangedKernelsMatchScalarBitwise) {
       auto ob = oa;
       double la = 0, ha = 0, lb = 1, hb = 1;  // differing seeds: must be stored
       s.teleport_collapse_range(x.data(), oa.data(), dim, q, pmask, e0, e1,
-                                sc, r0, r1, &la, &ha);
+                                g, sc, r0, r1, &la, &ha);
       k.teleport_collapse_range(x.data(), ob.data(), dim, q, pmask, e0, e1,
-                                sc, r0, r1, &lb, &hb);
+                                g, sc, r0, r1, &lb, &hb);
       EXPECT_TRUE(buffers_bit_equal(oa, ob));
       EXPECT_PRED2(same_fold, la, lb);
       EXPECT_PRED2(same_fold, ha, hb);
 
       // Scalar consistency: two covering slices == the full pass.
       std::vector<cplx> full(dim), sliced(dim);
-      s.teleport_collapse(x.data(), full.data(), dim, q, pmask, e0, e1, sc);
+      s.teleport_collapse(x.data(), full.data(), dim, q, pmask, e0, e1, g,
+                          sc);
       const std::uint64_t mid = ranks / 2;
       double f0, f1, f2, f3;
       s.teleport_collapse_range(x.data(), sliced.data(), dim, q, pmask, e0,
-                                e1, sc, 0, mid, &f0, &f1);
+                                e1, g, sc, 0, mid, &f0, &f1);
       s.teleport_collapse_range(x.data(), sliced.data(), dim, q, pmask, e0,
-                                e1, sc, mid, ranks, &f2, &f3);
+                                e1, g, sc, mid, ranks, &f2, &f3);
       EXPECT_TRUE(buffers_bit_equal(full, sliced));
 
       // mirror_cz_range (upper half of add_plus_cz, lower half already
@@ -467,7 +477,11 @@ TEST(SimdKernels, RandomizedRangedKernelsMatchScalarBitwise) {
 // thread counts {1, 2, 3, 8}: bit-identical to the scalar
 // single-threaded leg.  The fused *_with_total drivers also run at half
 // and twice the cutoff, and their totals must equal the unfused folds.
-// This is the public-API face of the dispatch-time driver battery.
+// Of the drivers that read a pending gain, prep_total_fold runs with
+// g = 1 and a random g, the gadget with the random g (the interpreted
+// prep over the settled register x·g must fold to the same total) and
+// the teleport alternating the two.  This is the public-API face of the
+// dispatch-time driver battery.
 TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
   // The budget caps every team: raise it so t = 8 really runs 8 threads.
   ThreadGuard guard;
@@ -481,6 +495,7 @@ TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
   const std::vector<cplx> x2(x.begin(), x.begin() + 2 * dim);
   const cplx e0{0.6, -0.8}, e1{0.0, 0.7071067811865476};
   const double sc = 0.8125;
+  const double gains[] = {1.0, 0.5 + 1.5 * rng.uniform()};
   const std::uint64_t pmask = 0x2BULL | (0x5ULL << (L - 1));
   const std::uint64_t cz_masks[3] = {0x3, (1ULL << L) | 0x18, 1ULL << (L - 1)};
 
@@ -491,7 +506,11 @@ TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
   auto run = [&](const CollapseKernels& k, int t) {
     Results r;
     r.folds.push_back(thr::fold_norms(k, x.data(), 2 * dim, t));
-    r.folds.push_back(thr::prep_total_fold(k, x.data(), dim, sc, t));
+    double totals[2];  // the doubled register's, per gain
+    for (int gi = 0; gi < 2; ++gi) {
+      totals[gi] = thr::prep_total_fold(k, x.data(), dim, gains[gi], sc, t);
+      r.folds.push_back(totals[gi]);
+    }
 
     auto sca = x2;
     r.folds.push_back(thr::scale_fold(k, sca.data(), 2 * dim, sc, t));
@@ -513,25 +532,41 @@ TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
         r.amps.insert(r.amps.end(), out.begin(), out.end());
       }
 
-      const auto fp = thr::prep_collapse_with_total(k, x.data(), out.data(),
-                                                    d, pmask, e0, e1, sc, t);
+      const auto fp = thr::prep_collapse_with_total(
+          k, x.data(), out.data(), d, pmask, e0, e1, gains[1], sc, t);
       std::vector<cplx> gad(x.begin(), x.begin() + 2 * d);
-      const double g = thr::add_plus_cz(k, gad.data(), d, pmask, sc, t);
+      thr::scale_fold(k, gad.data(), d, gains[1], t);  // settle the gain
+      const double ga = thr::add_plus_cz(k, gad.data(), d, pmask, sc, t);
       EXPECT_PRED2(same_fold, fp.total,
-                   thr::prep_total_fold(k, x.data(), d, sc, t));
-      EXPECT_PRED2(same_fold, fp.total, g);
+                   thr::prep_total_fold(k, x.data(), d, gains[1], sc, t));
+      EXPECT_PRED2(same_fold, fp.total, ga);
       r.folds.push_back(fp.total);
       r.folds.push_back(fp.proj);
-      r.folds.push_back(g);
+      r.folds.push_back(ga);
       r.amps.insert(r.amps.end(), out.begin(), out.end());
       r.amps.insert(r.amps.end(), gad.begin(), gad.end());
     }
 
-    std::vector<cplx> out(dim);
-    for (int q : {0, 1, 2, L}) {  // 0 and 1: the J-step shape
-      const std::uint64_t tp = pmask & ~((std::uint64_t{2} << q) - 1);
-      r.folds.push_back(thr::teleport_collapse_fold(
-          k, x.data(), out.data(), dim, q, tp, e0, e1, sc, t));
+    // The teleport at the J-step shapes, position 0 and the top position
+    // (13), plus 1 and 2 (below one register) and the chunk stride L,
+    // alternating the gains.  The fused Born total must equal
+    // prep_total_fold's.
+    std::vector<cplx> out(dim), folded(dim);
+    int leg = 0;
+    for (int q : {0, 1, 2, L, std::countr_zero(dim) - 1}) {
+      SCOPED_TRACE("teleport q=" + std::to_string(q));
+      const int gi = leg++ % 2;
+      const std::uint64_t tp = (pmask & ~((std::uint64_t{2} << q) - 1)) |
+                               (std::uint64_t{1} << q);
+      const double f = thr::teleport_collapse_fold(
+          k, x.data(), folded.data(), dim, q, tp, e0, e1, gains[gi], sc, t);
+      const auto w = thr::teleport_collapse_with_total(
+          k, x.data(), out.data(), dim, q, tp, e0, e1, gains[gi], sc, t);
+      EXPECT_PRED2(same_fold, w.total, totals[gi]);
+      EXPECT_PRED2(same_fold, w.proj, f);
+      EXPECT_TRUE(buffers_bit_equal(folded, out));
+      r.folds.push_back(w.total);
+      r.folds.push_back(w.proj);
       r.amps.insert(r.amps.end(), out.begin(), out.end());
     }
 

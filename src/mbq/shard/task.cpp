@@ -1,6 +1,7 @@
 #include "mbq/shard/task.h"
 
 #include <algorithm>
+#include <bit>
 #include <exception>
 #include <mutex>
 
@@ -79,7 +80,69 @@ std::shared_ptr<const api::Prepared> cached_prepare(
   return prepared;
 }
 
+// --- warm workload cache -----------------------------------------------
+// Every frame decodes a fresh Workload, whose cost-table memo would die
+// with the frame; the workloads kept here carry theirs to the next
+// request with the same spec.  Charged at their tables' full size
+// whether built yet or not, and unsynchronized like the prepare cache.
+
+struct WorkloadCacheEntry {
+  std::uint64_t fingerprint = 0;
+  api::Workload workload;
+  std::uint64_t bytes = 0;
+  std::uint64_t last_used = 0;
+};
+
+std::vector<WorkloadCacheEntry> g_workload_cache;
+std::uint64_t g_workload_bytes = 0;
+std::uint64_t g_workload_clock = 0;
+
+bool same_bits(real a, real b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Bitwise equality of two cost functions' Ising forms: equal forms
+/// build equal tables.
+bool same_cost(const qaoa::CostHamiltonian& a, const qaoa::CostHamiltonian& b) {
+  if (a.num_qubits() != b.num_qubits() ||
+      !same_bits(a.constant(), b.constant()) ||
+      a.terms().size() != b.terms().size())
+    return false;
+  for (std::size_t i = 0; i < a.terms().size(); ++i) {
+    const qaoa::IsingTerm& x = a.terms()[i];
+    const qaoa::IsingTerm& y = b.terms()[i];
+    if (!same_bits(x.coeff, y.coeff) || x.support != y.support) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+api::Workload warm_workload(const api::Workload& w, std::uint64_t fingerprint) {
+  for (WorkloadCacheEntry& e : g_workload_cache) {
+    if (e.fingerprint == fingerprint &&
+        same_cost(e.workload.cost(), w.cost())) {
+      e.last_used = ++g_workload_clock;
+      return e.workload;
+    }
+  }
+  // A table holds 2^n reals and n may reach 63, so compare exponents
+  // before shifting.
+  constexpr int kMaxKeptQubits =
+      std::countr_zero(kWarmTableBytes / sizeof(real));
+  if (w.num_qubits() > kMaxKeptQubits) return w;
+  const std::uint64_t bytes = std::uint64_t{sizeof(real)} << w.num_qubits();
+  while (g_workload_bytes + bytes > kWarmTableBytes) {
+    const auto lru = std::min_element(
+        g_workload_cache.begin(), g_workload_cache.end(),
+        [](const auto& x, const auto& y) { return x.last_used < y.last_used; });
+    g_workload_bytes -= lru->bytes;
+    g_workload_cache.erase(lru);
+  }
+  g_workload_bytes += bytes;
+  g_workload_cache.push_back({fingerprint, w, bytes, ++g_workload_clock});
+  return w;
+}
 
 Response evaluate(
     const api::Backend& backend, const Request& req,
@@ -131,7 +194,7 @@ Response evaluate(
   return r;
 }
 
-Response execute_request(const Request& req) {
+Response execute_request(Request req) {
   try {
     const bool sample = req.kind == TaskKind::kSample;
     MBQ_REQUIRE(!sample || req.shots >= 1, "sample request needs shots >= 1");
@@ -145,6 +208,7 @@ Response execute_request(const Request& req) {
         api::BackendRegistry::instance().create(req.backend);
     const std::uint64_t fingerprint =
         api::spec_fingerprint(req.workload.spec());
+    req.workload = warm_workload(req.workload, fingerprint);
     std::vector<std::shared_ptr<const api::Prepared>> preps(req.points.size());
     // t walks the first index of every point the slice touches.
     for (std::uint64_t t = req.begin; t < req.end;) {

@@ -38,13 +38,29 @@ Response evaluate(
     std::span<const std::shared_ptr<const api::Prepared>> preps,
     std::int64_t grain);
 
-/// Execute one request in a worker.  The check phase support-checks and
-/// prepares every point the slice touches before any stream is drawn; a
-/// failure there is reported at the point's first index in the slice,
-/// with error_in_eval unset.  Then evaluate(), whose items share a team
-/// only when they hold kParallelGrain amplitudes in all (items x 2^n):
-/// an idle worker's team sleeps, and waking it costs more than a smaller
-/// slice takes.  Never throws.
-Response execute_request(const Request& req);
+/// Execute one request in a worker.  Its workload is first swapped for
+/// warm_workload's copy, so a cost table built for an earlier request
+/// with the same spec serves this one.  The check phase support-checks
+/// and prepares every point the slice touches before any stream is
+/// drawn; a failure there is reported at the point's first index in the
+/// slice, with error_in_eval unset.  Then evaluate(), whose items share
+/// a team only when they hold kParallelGrain amplitudes in all
+/// (items x 2^n): an idle worker's team sleeps, and waking it costs
+/// more than a smaller slice takes.  Never throws.
+Response execute_request(Request req);
+
+/// The worker's warm workload cache holds at most this many bytes of
+/// cost tables.
+inline constexpr std::uint64_t kWarmTableBytes = std::uint64_t{32} << 20;
+
+/// The cached workload for w's spec fingerprint whose cost function is
+/// bitwise equal to w's, so that its cost-table memo
+/// (api::Workload::cost_table) outlives the frame that decoded w; on a
+/// miss, w itself, now cached.  Each entry is charged its table's full
+/// 2^n doubles, built or not; least recently used entries leave first
+/// once the tables would exceed kWarmTableBytes, and a workload whose
+/// table alone exceeds it is not kept.  Not synchronized: only
+/// execute_request calls it, before any item fans out.
+api::Workload warm_workload(const api::Workload& w, std::uint64_t fingerprint);
 
 }  // namespace mbq::shard

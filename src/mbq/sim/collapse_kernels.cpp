@@ -211,20 +211,26 @@ bool run_battery(const CollapseKernelsT<R>& k) {
   return true;
 }
 
-/// The chunk drivers at the cutoff, across thread counts:
-/// driver(k, t) must equal driver(scalar, 1) bit-for-bit for every
-/// t — this is where a divergent flavor×thread combination is
-/// rejected.  Representative shapes: both stride regimes, mixed
-/// high/low masks, the fused *_with_total drivers against their unfused
-/// definitions, a pending gain g != 1 on every driver that takes one.
-/// The fused gadget pairs also run at half the cutoff, where only the
-/// doubled register is chunked.  Twice the cutoff takes no
-/// other branch and is left to test_simd_kernels: its 1 MiB f64 input,
-/// freed here, would raise glibc's dynamic mmap threshold past a
+/// The chunk drivers at the cutoff, on one thread: driver(k, 1) must
+/// equal driver(scalar, 1) bit-for-bit.  Representative shapes: both
+/// stride regimes, mixed high/low masks, the fused *_with_total drivers
+/// against their unfused definitions, a pending gain g != 1 on every
+/// driver that takes one.  The fused gadget pairs also run at half the
+/// cutoff, where only the doubled register is chunked.  Twice the cutoff
+/// takes no other branch and is left to test_simd_kernels: its 1 MiB f64
+/// input, freed here, would raise glibc's dynamic mmap threshold past a
 /// 16-wire register, and a sampling process's peak RSS with it.
 /// Strides and mask bits sit around the chunk boundary
 /// L = log2(kChunkAmps): L − 1 inside a chunk, L the lowest chunk-index
 /// bit, L + 1 above it.
+///
+/// No thread legs: every process pays this battery on its first kernel
+/// call, and a team opened here costs that call up to a second on a
+/// busy host.  Team width only decides who runs a chunk, so what a
+/// thread leg checks is the drivers' combine order, which is the same
+/// code on every host; SimdKernels.ChunkedDriversBitIdenticalAcrossThreadCounts
+/// sweeps threads {1, 2, 3, 8} on every flavor, and CI runs tier-1 at
+/// budgets 2, 3 and 4.
 template <class R>
 bool run_driver_battery(const CollapseKernelsT<R>& k) {
   using C = std::complex<R>;
@@ -235,11 +241,6 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
   const R g = R(1.3270086345276316);
   const C e0{R(0.6), R(-0.8)};
   const C e1{R(0.0), R(0.3141592653589793)};
-  // No t = 3, the first uneven split of eight chunks: test_simd_kernels
-  // sweeps it, and OMP_NUM_THREADS=3 caps t = 8 at it.  Each new team
-  // width ends or starts libgomp worker threads, and with t = 3 here a
-  // 16-wire sampling run's peak RSS read 0.5 MiB higher in 3 of 4 runs.
-  const int threads[] = {1, 2, 8};
   const std::uint64_t pmask = 0x2BULL | (0x5ULL << (L - 1));  // low and high
   // Every check reads its input from x and writes copies of it.
   std::vector<C> x, y, ox, oy;
@@ -254,14 +255,12 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
     ref.scale_fold(to.data(), d, g);
   };
 
-  for (int t : threads) {
-    if (!same(thr::fold_norms(ref, x.data(), dim, 1),
-              thr::fold_norms(k, x.data(), dim, t)))
-      return false;
-    if (!same(thr::prep_total_fold(ref, x.data(), dim, g, s, 1),
-              thr::prep_total_fold(k, x.data(), dim, g, s, t)))
-      return false;
-  }
+  if (!same(thr::fold_norms(ref, x.data(), dim, 1),
+            thr::fold_norms(k, x.data(), dim, 1)))
+    return false;
+  if (!same(thr::prep_total_fold(ref, x.data(), dim, g, s, 1),
+            thr::prep_total_fold(k, x.data(), dim, g, s, 1)))
+    return false;
 
   for (const std::uint64_t d : {dim / 2, dim}) {
     for (int q : {0, L, L + 1}) {  // stride < C, == C, > C
@@ -272,14 +271,12 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
       const R pa =
           thr::collapse_pairs(ref, x.data(), ox.data(), d, q, e0, e1, 1);
       if (!same(fa.total, ua) || !same(fa.proj, pa)) return false;  // fusion
-      for (int t : threads) {
-        oy.assign(d, C{});
-        const auto fb = thr::collapse_pairs_with_total(k, x.data(), oy.data(),
-                                                       d, q, e0, e1, t);
-        if (!same(fa.total, fb.total) || !same(fa.proj, fb.proj) ||
-            !same(ox, oy))
-          return false;
-      }
+      oy.assign(d, C{});
+      const auto fb = thr::collapse_pairs_with_total(k, x.data(), oy.data(), d,
+                                                     q, e0, e1, 1);
+      if (!same(fa.total, fb.total) || !same(fa.proj, fb.proj) ||
+          !same(ox, oy))
+        return false;
     }
 
     // The doubled register's total three ways: fused and compiled
@@ -295,42 +292,46 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
     const R ga = thr::add_plus_cz(ref, y.data(), d, pmask, s, 1);
     if (!same(pa.total, ta) || !same(pa.total, ga) || !same(pa.proj, ja))
       return false;  // fusion
-    for (int t : threads) {
-      oy.assign(d, C{});
-      const auto pb = thr::prep_collapse_with_total(k, x.data(), oy.data(), d,
-                                                    pmask, e0, e1, g, s, t);
-      if (!same(pa.total, pb.total) || !same(pa.proj, pb.proj) ||
-          !same(ox, oy))
-        return false;
-      settled(oy, d);
-      if (!same(ga, thr::add_plus_cz(k, oy.data(), d, pmask, s, t)) ||
-          !same(y, oy))
-        return false;
-    }
+    oy.assign(d, C{});
+    const auto pb = thr::prep_collapse_with_total(k, x.data(), oy.data(), d,
+                                                  pmask, e0, e1, g, s, 1);
+    if (!same(pa.total, pb.total) || !same(pa.proj, pb.proj) || !same(ox, oy))
+      return false;
+    settled(oy, d);
+    if (!same(ga, thr::add_plus_cz(k, oy.data(), d, pmask, s, 1)) ||
+        !same(y, oy))
+      return false;
   }
 
   // The teleport: its fused Born total against prep_total_fold +
-  // teleport_collapse_fold, then every flavor x thread count against
-  // that.  (At this size both drivers make the same ranged kernel call
-  // per chunk, so the fused one stands for both.)
+  // teleport_collapse_fold, then the flavor against that.  (At this size
+  // both drivers make the same ranged kernel call per chunk, so the
+  // fused one stands for both.)  With q among the partners, as in a J
+  // step, the partials combined upper half first must be the fold of
+  // the other outcome's projection, effects (e0, −e1).
   const R tta = thr::prep_total_fold(ref, x.data(), dim, g, s, 1);
   for (int q : {2, L, L + 1}) {
-    ox.assign(dim, C{});
-    oy.assign(dim, C{});
-    const std::uint64_t tp = pmask & ~((std::uint64_t{2} << q) - 1);
-    const R fa = thr::teleport_collapse_fold(ref, x.data(), ox.data(), dim, q,
-                                             tp, e0, e1, g, s, 1);
-    const auto wa = thr::teleport_collapse_with_total(
-        ref, x.data(), oy.data(), dim, q, tp, e0, e1, g, s, 1);
-    if (!same(wa.total, tta) || !same(wa.proj, fa) || !same(ox, oy))
-      return false;  // fusion
-    for (int t : threads) {
+    const std::uint64_t above = pmask & ~((std::uint64_t{2} << q) - 1);
+    for (const std::uint64_t tp : {above, pmask | (std::uint64_t{1} << q)}) {
+      ox.assign(dim, C{});
+      oy.assign(dim, C{});
+      const R fa = thr::teleport_collapse_fold(ref, x.data(), ox.data(), dim,
+                                               q, tp, e0, e1, g, s, 1);
+      const auto wa = thr::teleport_collapse_with_total(
+          ref, x.data(), oy.data(), dim, q, tp, e0, e1, g, s, 1);
+      if (!same(wa.total, tta) || !same(wa.proj, fa) || !same(ox, oy))
+        return false;  // fusion
       oy.assign(dim, C{});
       const auto wb = thr::teleport_collapse_with_total(
-          k, x.data(), oy.data(), dim, q, tp, e0, e1, g, s, t);
+          k, x.data(), oy.data(), dim, q, tp, e0, e1, g, s, 1);
       if (!same(wa.total, wb.total) || !same(wa.proj, wb.proj) ||
-          !same(ox, oy))
+          !same(wa.swapped, wb.swapped) || !same(ox, oy))
         return false;
+      if (tp != above &&
+          !same(wb.swapped, thr::teleport_collapse_fold(k, x.data(), oy.data(),
+                                                        dim, q, tp, e0, -e1, g,
+                                                        s, 1)))
+        return false;  // the other outcome's fold
     }
   }
 
@@ -338,42 +339,34 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
   const std::uint64_t parm = (0x5ULL << (L - 1)) | 0x5;
   copy(y, dim);
   thr::sign_pass(ref, y.data(), dim, eqm, parm, false, 1);
-  for (int t : threads) {
-    copy(oy, dim);
-    thr::sign_pass(k, oy.data(), dim, eqm, parm, false, t);
-    if (!same(y, oy)) return false;
-  }
+  copy(oy, dim);
+  thr::sign_pass(k, oy.data(), dim, eqm, parm, false, 1);
+  if (!same(y, oy)) return false;
 
   // The last mask has no bit inside a chunk: a chunk-constant flip.
   const std::uint64_t czm[] = {0x3, (1ULL << L) | 0x18, 1ULL << (L - 1),
                                0x41, 0x3ULL << L};
   copy(y, dim);
   thr::cz_masks_pass(ref, y.data(), dim, czm, 5, 1);
-  for (int t : threads) {
-    copy(oy, dim);
-    thr::cz_masks_pass(k, oy.data(), dim, czm, 5, t);
-    if (!same(y, oy)) return false;
-  }
+  copy(oy, dim);
+  thr::cz_masks_pass(k, oy.data(), dim, czm, 5, 1);
+  if (!same(y, oy)) return false;
 
   for (std::uint64_t xm : {0x22ULL, 1ULL << L}) {
     copy(y, dim);
     thr::pauli_swap_pass(ref, y.data(), dim, xm, parm, eqm, true, 1);
-    for (int t : threads) {
-      copy(oy, dim);
-      thr::pauli_swap_pass(k, oy.data(), dim, xm, parm, eqm, true, t);
-      if (!same(y, oy)) return false;
-    }
+    copy(oy, dim);
+    thr::pauli_swap_pass(k, oy.data(), dim, xm, parm, eqm, true, 1);
+    if (!same(y, oy)) return false;
   }
 
   for (int q : {2, L}) {
     const C e{R(0.984807753012208), R(0.17364817766693033)};
     copy(y, dim);
     thr::phase_pass(ref, y.data(), dim, q, e, 1);
-    for (int t : threads) {
-      copy(oy, dim);
-      thr::phase_pass(k, oy.data(), dim, q, e, t);
-      if (!same(y, oy)) return false;
-    }
+    copy(oy, dim);
+    thr::phase_pass(k, oy.data(), dim, q, e, 1);
+    if (!same(y, oy)) return false;
   }
 
   return true;

@@ -278,8 +278,9 @@ std::vector<SimdIsa> supported_simd_isas();
 /// against the scalar reference on deterministic pseudo-random data
 /// across a spread of sizes, strides, masks and effect kinds, comparing
 /// results bit-for-bit — including the ranged entries and the chunked
-/// thread drivers at thread counts {1, 2, 8} (a flavor×thread
-/// combination that diverges is rejected here).  True iff all match.
+/// drivers on one thread (the thread-count sweep is tier-1's
+/// SimdKernels.ChunkedDriversBitIdenticalAcrossThreadCounts).  True iff
+/// all match.
 bool verify_kernels(const CollapseKernels& k);
 bool verify_kernels_f32(const CollapseKernelsF32& k);
 

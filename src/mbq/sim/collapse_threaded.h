@@ -22,8 +22,8 @@
 // (parallel_for_threads with a static schedule); the work each chunk
 // performs and the order partials are combined in are fixed.  Hence
 // threaded ≡ single-threaded ≡ scalar bit-for-bit, at every thread
-// count, for every ISA flavor — the dispatch battery rejects any
-// flavor×thread combination that diverges.
+// count, for every ISA flavor — the dispatch battery rejects any flavor
+// whose drivers diverge on one thread, and tier-1 sweeps thread counts.
 //
 // CACHE BLOCKING falls out of the same decomposition: the *_with_total
 // drivers compute a sweep's Born denominator AND its projection chunk
@@ -32,12 +32,17 @@
 // values: the per-chunk partials and their combination order are
 // exactly those of the unfused drivers.
 //
-// PASS COUNT.  A sampled fused gadget or teleport is one such pass (the
-// outcome-1 projection with its Born total), plus a re-projection when
-// the draw gives 0: 1.5 passes and fork/joins on average.  None of them
-// renormalizes.  The drivers take the gain g the previous fused op left
-// pending (sim/dynamic_statevector.h) and apply it to each element as
-// it is read, before the op's own scale s.
+// PASS COUNT.  A sampled fused gadget or teleport is one such pass: the
+// projection of the outcome its early-drawn uniform picks, with its
+// Born total (sim/dynamic_statevector.h).  A YZ or Z gadget, and an XY
+// or X J step on a chunked register, know the other outcome's
+// projection fold from that same pass, so they re-project only when
+// the uniform lies within rounding of 1/2.  Any other sampled measure,
+// and every J step below kChunkCutoffDim amplitudes, projects outcome 1
+// and re-projects when the draw gives 0: 1.5 passes and fork/joins on
+// average.  None of them renormalizes.  The drivers take the gain g the
+// previous fused op left pending and apply it to each element as it is
+// read, before the op's own scale s.
 //
 // Where two different drivers can cover the same logical fold (the
 // compiled prep_total_fold vs the interpreted add_plus_cz over the
@@ -49,6 +54,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "mbq/common/bits.h"
@@ -68,6 +74,11 @@ inline constexpr std::uint64_t kChunkCutoffDim = std::uint64_t{1} << 14;
 inline int kernel_threads() noexcept { return num_threads(); }
 inline void set_kernel_threads(int n) noexcept { set_num_threads(n); }
 
+/// True when a sweep over `space` entries runs as chunks.
+inline bool chunked(std::uint64_t space) noexcept {
+  return space >= kChunkCutoffDim && space % kChunkAmps == 0;
+}
+
 namespace detail {
 
 /// Chunk-partial slots, reused across calls (the steady-state shot loop
@@ -85,10 +96,6 @@ inline R combine(const R* p, std::uint64_t n) noexcept {
   R total = p[0];
   for (std::uint64_t c = 1; c < n; ++c) total += p[c];
   return total;
-}
-
-inline bool chunked(std::uint64_t space) noexcept {
-  return space >= kChunkCutoffDim && space % kChunkAmps == 0;
 }
 
 /// The doubled register's total from its per-half chunk partials: the
@@ -117,7 +124,7 @@ struct Folds2 {
 template <class R>
 R fold_norms(const CollapseKernelsT<R>& k, const std::complex<R>* x,
              std::uint64_t n, int threads) {
-  if (!detail::chunked(n)) return k.fold_norms(x, n);
+  if (!chunked(n)) return k.fold_norms(x, n);
   const std::uint64_t nc = n / kChunkAmps;
   auto& p = detail::parts<R>();
   p.resize(nc);
@@ -130,7 +137,7 @@ R fold_norms(const CollapseKernelsT<R>& k, const std::complex<R>* x,
 template <class R>
 R fold_norms_scaled(const CollapseKernelsT<R>& k, const std::complex<R>* x,
                     std::uint64_t n, R g, R s, int threads) {
-  if (!detail::chunked(n)) return k.fold_norms_scaled(x, n, g, s);
+  if (!chunked(n)) return k.fold_norms_scaled(x, n, g, s);
   const std::uint64_t nc = n / kChunkAmps;
   auto& p = detail::parts<R>();
   p.resize(nc);
@@ -145,7 +152,7 @@ R fold_norms_scaled(const CollapseKernelsT<R>& k, const std::complex<R>* x,
 template <class R>
 R prep_total_fold(const CollapseKernelsT<R>& k, const std::complex<R>* x,
                   std::uint64_t n, R g, R s, int threads) {
-  if (!detail::chunked(2 * n)) return k.prep_total_fold(x, n, g, s);
+  if (!chunked(2 * n)) return k.prep_total_fold(x, n, g, s);
   const std::uint64_t nc = n / kChunkAmps;  // chunks per half
   auto& p = detail::parts<R>();
   p.resize(nc);
@@ -158,7 +165,7 @@ R prep_total_fold(const CollapseKernelsT<R>& k, const std::complex<R>* x,
 template <class R>
 R scale_fold(const CollapseKernelsT<R>& k, std::complex<R>* x,
              std::uint64_t n, R inv, int threads) {
-  if (!detail::chunked(n)) return k.scale_fold(x, n, inv);
+  if (!chunked(n)) return k.scale_fold(x, n, inv);
   const std::uint64_t nc = n / kChunkAmps;
   auto& p = detail::parts<R>();
   p.resize(nc);
@@ -182,7 +189,7 @@ template <class R>
 R collapse_pairs(const CollapseKernelsT<R>& k, const std::complex<R>* x,
                  std::complex<R>* out, std::uint64_t pairs, int q,
                  std::complex<R> e0, std::complex<R> e1, int threads) {
-  if (!detail::chunked(pairs)) return k.collapse_pairs(x, out, pairs, q, e0, e1);
+  if (!chunked(pairs)) return k.collapse_pairs(x, out, pairs, q, e0, e1);
   const std::uint64_t stride = std::uint64_t{1} << q;
   const std::uint64_t nc = pairs / kChunkAmps;
   auto& p = detail::parts<R>();
@@ -210,7 +217,7 @@ Folds2<R> collapse_pairs_with_total(const CollapseKernelsT<R>& k,
                                     std::complex<R>* out, std::uint64_t pairs,
                                     int q, std::complex<R> e0,
                                     std::complex<R> e1, int threads) {
-  if (!detail::chunked(pairs)) {
+  if (!chunked(pairs)) {
     // The total keeps the global fold definition (it may chunk at
     // 2·pairs even when the pair space is below the cutoff); below both
     // cutoffs this is EXACTLY the historical two-call sequence.
@@ -258,7 +265,7 @@ R prep_collapse(const CollapseKernelsT<R>& k, const std::complex<R>* x,
                 std::complex<R>* out, std::uint64_t dim, std::uint64_t pmask,
                 std::complex<R> e0, std::complex<R> e1, R g, R s,
                 int threads) {
-  if (!detail::chunked(dim))
+  if (!chunked(dim))
     return k.prep_collapse(x, out, dim, pmask, e0, e1, g, s);
   const std::uint64_t nc = dim / kChunkAmps;
   const std::uint64_t pm_lo = pmask & (kChunkAmps - 1);
@@ -285,7 +292,7 @@ Folds2<R> prep_collapse_with_total(const CollapseKernelsT<R>& k,
                                    std::complex<R>* out, std::uint64_t dim,
                                    std::uint64_t pmask, std::complex<R> e0,
                                    std::complex<R> e1, R g, R s, int threads) {
-  if (!detail::chunked(dim)) {
+  if (!chunked(dim)) {
     // The total keeps its own contract (chunked once 2·dim reaches the
     // cutoff); the projection is one plain call.
     const R total = prep_total_fold(k, x, dim, g, s, threads);
@@ -323,7 +330,7 @@ R teleport_collapse_fold(const CollapseKernelsT<R>& k,
                          std::uint64_t dim, int q, std::uint64_t pmask,
                          std::complex<R> e0, std::complex<R> e1, R g, R s,
                          int threads) {
-  if (!detail::chunked(dim)) {
+  if (!chunked(dim)) {
     k.teleport_collapse(x, out, dim, q, pmask, e0, e1, g, s);
     return fold_norms(k, out, dim, threads);
   }
@@ -338,6 +345,15 @@ R teleport_collapse_fold(const CollapseKernelsT<R>& k,
   return detail::combine(p.data(), 2 * nch);
 }
 
+/// The fused sampled teleport's folds: Folds2's two, plus `swapped`,
+/// the projection's chunk partials combined upper half first.
+template <class R>
+struct TeleportFolds {
+  R total;    // Born denominator
+  R proj;     // projection norm fold
+  R swapped;  // the projection partials, upper-half chunks first
+};
+
 /// Fused sampled teleport: total = prep_total_fold(x, dim, g, s) and
 /// proj = teleport_collapse_fold(...), each x block folded in the chunk
 /// pass that projects it — one read of x instead of two.  A rank chunk
@@ -347,16 +363,26 @@ R teleport_collapse_fold(const CollapseKernelsT<R>& k,
 /// chunk is read by exactly one rank chunk, and the slots combine as
 /// prep_total_fold's do, so both folds are bit-identical to the unfused
 /// pair.
+///
+/// `swapped` is the other outcome's projection fold when q is among the
+/// pmask partners and the other outcome's effects are (e0, −e1), as for
+/// the XY and X bases.  Then b = eff(e1, ·) flips sign and the upper
+/// half's partner signs are (σ, −σ), so each out half of one outcome
+/// equals the other outcome's opposite half element by element up to
+/// sign.  Each half-slice partial starts fresh lanes, so its partials
+/// are this call's with the halves exchanged, bit for bit.  Chunked
+/// registers only: the unchunked branch folds out in one sweep whose
+/// lanes run across both halves, and returns NaN here.
 template <class R>
-Folds2<R> teleport_collapse_with_total(
+TeleportFolds<R> teleport_collapse_with_total(
     const CollapseKernelsT<R>& k, const std::complex<R>* x,
     std::complex<R>* out, std::uint64_t dim, int q, std::uint64_t pmask,
     std::complex<R> e0, std::complex<R> e1, R g, R s, int threads) {
-  if (!detail::chunked(dim)) {
+  if (!chunked(dim)) {
     const R total = prep_total_fold(k, x, dim, g, s, threads);
     const R proj =
         teleport_collapse_fold(k, x, out, dim, q, pmask, e0, e1, g, s, threads);
-    return {total, proj};
+    return {total, proj, std::numeric_limits<R>::quiet_NaN()};
   }
   const std::uint64_t stride = std::uint64_t{1} << q;
   const std::uint64_t nch = (dim / 2) / kChunkAmps;  // rank chunks
@@ -376,8 +402,11 @@ Folds2<R> teleport_collapse_with_total(
                               r0 + kChunkAmps, &proj_parts[c],
                               &proj_parts[nch + c]);
   });
+  R swapped = proj_parts[nch];
+  for (std::uint64_t c = nch + 1; c < 2 * nch; ++c) swapped += proj_parts[c];
+  for (std::uint64_t c = 0; c < nch; ++c) swapped += proj_parts[c];
   return {detail::doubled_total(x_parts, nx),
-          detail::combine(proj_parts, 2 * nch)};
+          detail::combine(proj_parts, 2 * nch), swapped};
 }
 
 // --- interpreted-path prep (add_wire_plus_cz) --------------------------------
@@ -390,7 +419,7 @@ Folds2<R> teleport_collapse_with_total(
 template <class R>
 R add_plus_cz(const CollapseKernelsT<R>& k, std::complex<R>* x,
               std::uint64_t old_dim, std::uint64_t pmask, R s, int threads) {
-  if (!detail::chunked(2 * old_dim)) return k.add_plus_cz(x, old_dim, pmask, s);
+  if (!chunked(2 * old_dim)) return k.add_plus_cz(x, old_dim, pmask, s);
   const std::uint64_t nc = old_dim / kChunkAmps;  // chunks per half
   auto& p = detail::parts<R>();
   p.resize(2 * nc);
@@ -410,7 +439,7 @@ template <class R>
 void sign_pass(const CollapseKernelsT<R>& k, std::complex<R>* x,
                std::uint64_t n, std::uint64_t eq_mask, std::uint64_t par_mask,
                bool negate, int threads) {
-  if (!detail::chunked(n)) {
+  if (!chunked(n)) {
     k.sign_pass(x, n, eq_mask, par_mask, negate);
     return;
   }
@@ -437,7 +466,7 @@ void cz_masks_pass(const CollapseKernelsT<R>& k, std::complex<R>* x,
                    int threads) {
   // A mask of 0 fires on every index ((i & 0) == 0), which is how a
   // chunk-constant flip is expressed below; cap the per-chunk list.
-  if (!detail::chunked(n) || count > 64) {
+  if (!chunked(n) || count > 64) {
     k.cz_masks_pass(x, n, pair_masks, count);
     return;
   }
@@ -466,7 +495,7 @@ template <class R>
 void pauli_swap_pass(const CollapseKernelsT<R>& k, std::complex<R>* x,
                      std::uint64_t n, std::uint64_t xmask, std::uint64_t zmask,
                      std::uint64_t eq_mask, bool negate, int threads) {
-  if (!detail::chunked(n) || n / 2 < kChunkAmps) {
+  if (!chunked(n) || n / 2 < kChunkAmps) {
     k.pauli_swap_pass(x, n, xmask, zmask, eq_mask, negate);
     return;
   }
@@ -480,7 +509,7 @@ void pauli_swap_pass(const CollapseKernelsT<R>& k, std::complex<R>* x,
 template <class R>
 void phase_pass(const CollapseKernelsT<R>& k, std::complex<R>* x,
                 std::uint64_t n, int q, std::complex<R> e, int threads) {
-  if (!detail::chunked(n) || n / 2 < kChunkAmps) {
+  if (!chunked(n) || n / 2 < kChunkAmps) {
     k.phase_pass(x, n, q, e);
     return;
   }

@@ -21,6 +21,39 @@ std::complex<R> to_c(cplx v) noexcept {
   return {static_cast<R>(v.real()), static_cast<R>(v.imag())};
 }
 
+/// A sampled fused pass's folds: the Born total and, per outcome m, the
+/// fold of m's projection — the one the pass wrote, and the other one
+/// where the op knows it from the same pass.
+template <class R>
+struct PassFolds {
+  R total;
+  R proj[2];
+};
+
+/// The outcome of a fused measure, with the fold of the projection it
+/// leaves in scratch in nrm2.  Forced: project(forced) alone.  Sampled:
+/// the draw comes first, and pass(m) writes outcome m's projection, m
+/// the draw's guess when other_known (the pass returns both outcomes'
+/// folds) and 1 otherwise.  The outcome, and what it leaves of rng, are
+/// exactly rng.bernoulli(proj[1] / total)'s, and project(outcome)
+/// rewrites the projection when the pass wrote the other one.
+template <class R, class Pass, class Project>
+int fused_outcome(Rng& rng, int forced, bool other_known, const Pass& pass,
+                  const Project& project, R& nrm2) {
+  if (forced != -1) {
+    nrm2 = project(forced);
+    return forced;
+  }
+  const EarlyDraw draw = EarlyDraw::take(rng);
+  const int written = other_known ? draw.guess() : 1;
+  const PassFolds<R> f = pass(written);
+  const real total = std::norm(std::sqrt(static_cast<real>(f.total)));
+  MBQ_REQUIRE(total > DynamicStatevector::kMinBornNorm2, "zero state");
+  const int outcome = draw.resolve(static_cast<real>(f.proj[1]) / total, rng);
+  nrm2 = outcome == written ? f.proj[outcome] : project(outcome);
+  return outcome;
+}
+
 }  // namespace
 
 Matrix measurement_basis(MeasBasis basis, real angle) {
@@ -381,32 +414,32 @@ int DynamicStatevector::prep_cz_measure_impl(std::uint64_t partner_pos_mask,
   const R s = static_cast<R>(1.0 / std::sqrt(2.0));
   const CollapseKernelsT<R>& kn = kernels_t<R>();
   const int threads = num_threads();
+  const auto e = [&](int row, int m) {
+    return to_c<R>(std::conj(basis(row, m)));
+  };
 
-  int outcome;
-  R nrm2 = R(0);
-  if (forced == -1) {
-    // Fused blocked pass: the Born denominator (the doubled register's
-    // canonical fold) and the outcome-1 projection are computed chunk by
-    // chunk from ONE read of the register instead of two streamed
-    // passes — the cache-blocking win at large dim.
-    const auto f = thr::prep_collapse_with_total(
-        kn, a.data(), sc.data(), dim, partner_pos_mask,
-        to_c<R>(std::conj(basis(0, 1))), to_c<R>(std::conj(basis(1, 1))), g,
-        s, threads);
-    const real total =
-        std::norm(std::sqrt(static_cast<real>(f.total)));
-    MBQ_REQUIRE(total > kMinBornNorm2, "zero state");
-    outcome = rng.bernoulli(static_cast<real>(f.proj) / total) ? 1 : 0;
-    nrm2 = f.proj;  // outcome 1: the projections are already in scratch
-  } else {
-    outcome = forced;
-  }
-  if (outcome != 1 || forced != -1) {
-    nrm2 = thr::prep_collapse(kn, a.data(), sc.data(), dim, partner_pos_mask,
-                              to_c<R>(std::conj(basis(0, outcome))),
-                              to_c<R>(std::conj(basis(1, outcome))), g, s,
-                              threads);
-  }
+  // The sampled pass folds the Born denominator (the doubled register's
+  // canonical fold) and a projection chunk by chunk from ONE read of
+  // the register — the cache-blocking win at large dim.  In a YZ or Z
+  // basis the outcomes' effects are (c, d) and (d, c) on a ±low pair,
+  // so both projections have the same fold.
+  const bool other_known =
+      basis(0, 0) == basis(1, 1) && basis(0, 1) == basis(1, 0);
+  R nrm2;
+  const int outcome = fused_outcome<R>(
+      rng, forced, other_known,
+      [&](int m) {
+        const auto f = thr::prep_collapse_with_total(
+            kn, a.data(), sc.data(), dim, partner_pos_mask, e(0, m), e(1, m),
+            g, s, threads);
+        return PassFolds<R>{f.total, {f.proj, f.proj}};
+      },
+      [&](int m) {
+        return thr::prep_collapse(kn, a.data(), sc.data(), dim,
+                                  partner_pos_mask, e(0, m), e(1, m), g, s,
+                                  threads);
+      },
+      nrm2);
   MBQ_REQUIRE(static_cast<real>(nrm2) > kMinProjectionNorm2,
               "forced outcome " << outcome << " on wire " << wire
                                 << " has zero probability");
@@ -456,25 +489,31 @@ int DynamicStatevector::teleport_measure_impl(std::uint64_t partner_pos_mask,
   // Projection fold fused into the collapse pass (the chunked driver
   // folds each out block as it is written instead of re-reading the
   // whole vector afterwards); a sampled teleport folds the Born
-  // denominator over the blocks it reads in that same pass.
-  int outcome;
-  R nrm2 = R(0);
-  if (forced == -1) {
-    const auto f = thr::teleport_collapse_with_total(
-        kn, a.data(), sc.data(), dim, q, partner_pos_mask, e(0, 1), e(1, 1),
-        g, s, threads);
-    const real total = std::norm(std::sqrt(static_cast<real>(f.total)));
-    MBQ_REQUIRE(total > kMinBornNorm2, "zero state");
-    outcome = rng.bernoulli(static_cast<real>(f.proj) / total) ? 1 : 0;
-    nrm2 = f.proj;  // outcome 1: the projections are already in scratch
-  } else {
-    outcome = forced;
-  }
-  if (outcome != 1 || forced != -1) {
-    nrm2 = thr::teleport_collapse_fold(kn, a.data(), sc.data(), dim, q,
-                                       partner_pos_mask, e(0, outcome),
-                                       e(1, outcome), g, s, threads);
-  }
+  // denominator over the blocks it reads in that same pass.  In an XY
+  // or X basis with meas_wire among the partners, the chunked pass also
+  // yields the other outcome's fold (f.swapped).
+  const bool other_known = thr::chunked(dim) &&
+                           ((partner_pos_mask >> q) & 1) != 0 &&
+                           basis(0, 0) == basis(0, 1) &&
+                           basis(1, 1) == -basis(1, 0);
+  R nrm2;
+  const int outcome = fused_outcome<R>(
+      rng, forced, other_known,
+      [&](int m) {
+        const auto f = thr::teleport_collapse_with_total(
+            kn, a.data(), sc.data(), dim, q, partner_pos_mask, e(0, m),
+            e(1, m), g, s, threads);
+        PassFolds<R> r{f.total, {}};
+        r.proj[m] = f.proj;
+        r.proj[1 - m] = f.swapped;
+        return r;
+      },
+      [&](int m) {
+        return thr::teleport_collapse_fold(kn, a.data(), sc.data(), dim, q,
+                                           partner_pos_mask, e(0, m), e(1, m),
+                                           g, s, threads);
+      },
+      nrm2);
   MBQ_REQUIRE(static_cast<real>(nrm2) > kMinProjectionNorm2,
               "forced outcome " << outcome << " on wire " << meas_wire
                                 << " has zero probability");

@@ -42,6 +42,33 @@ enum class MeasBasis : std::uint8_t { Z, X, XY, YZ };
 /// state.  XY(angle): (|0> ± e^{i a}|1>)/sqrt(2); YZ(angle): e^{i a X/2}|m>.
 Matrix measurement_basis(MeasBasis basis, real angle);
 
+/// A sampled measurement's Bernoulli draw, taken before its probability
+/// is known.  take() draws the uniform on a copy of the caller's
+/// generator; resolve(p, rng) then returns exactly what rng.bernoulli(p)
+/// would and leaves rng where it would: advanced by that draw when p
+/// lies in (0, 1), where bernoulli compares the same u < p, and
+/// untouched otherwise, where bernoulli draws nothing.  A measure that
+/// throws before resolve() leaves rng untouched.  guess() is the outcome
+/// to project ahead of p, which is right unless u lies between 1/2 and
+/// p — within rounding for the fair-coin measurements of the QAOA
+/// pattern.
+struct EarlyDraw {
+  Rng after;  // the generator once the draw is taken
+  real u;     // the uniform bernoulli(p) compares against
+
+  static EarlyDraw take(const Rng& rng) noexcept {
+    EarlyDraw d{rng, 0.0};
+    d.u = d.after.uniform();
+    return d;
+  }
+  int guess() const noexcept { return u < 0.5 ? 1 : 0; }
+  int resolve(real p, Rng& rng) const noexcept {
+    if (!(p > 0.0 && p < 1.0)) return rng.bernoulli(p) ? 1 : 0;
+    rng = after;
+    return u < p ? 1 : 0;
+  }
+};
+
 class DynamicStatevector {
  public:
   // --- zero-state thresholds -------------------------------------------
@@ -161,8 +188,15 @@ class DynamicStatevector {
   /// upper amplitude half is ±(scaled lower half), so probabilities,
   /// projections and the collapsed state are computed straight from the
   /// untouched register: the whole N;E...;M block costs one pass at the
-  /// SMALL dimension, plus a re-projection when a draw gives 0 (1.5 on
-  /// average).  Contract matches measure_remove.
+  /// SMALL dimension.  A sampled gadget takes its draw first (EarlyDraw)
+  /// and projects the guessed outcome.  In a YZ or Z basis
+  /// (basis(0,0) == basis(1,1), basis(0,1) == basis(1,0)) the two
+  /// outcomes swap the effects of a ±low pair, so their projections are
+  /// equal in magnitude element by element and their folds equal bit
+  /// for bit; it re-projects only when the guess was wrong, i.e. when u
+  /// lies within rounding of 1/2.  Other bases project outcome 1 and
+  /// re-project when the draw gives 0 (1.5 passes on average).
+  /// Contract matches measure_remove.
   int prep_cz_measure(int wire, std::uint64_t partner_pos_mask,
                       const Matrix& basis, Rng& rng, int forced = -1);
 
@@ -172,7 +206,14 @@ class DynamicStatevector {
   /// register never exists — the virtual upper half is ±(scaled lower
   /// half), so the collapse reads the untouched register directly and
   /// writes the final (same-sized) state in one pass, which also folds
-  /// the Born denominator when sampling.  After the call
+  /// the Born denominator when sampling.  A sampled teleport takes its
+  /// draw first and projects the guessed outcome when the other
+  /// outcome's fold comes from the same pass: an XY or X basis
+  /// (basis(0,0) == basis(0,1), basis(1,1) == −basis(1,0)), meas_wire
+  /// among the CZ partners (every J step), and a chunked register (see
+  /// thr::teleport_collapse_with_total).  Then it re-projects only when
+  /// the guess was wrong; otherwise it projects outcome 1 and
+  /// re-projects when the draw gives 0.  After the call
   /// `meas_wire` is gone and `new_wire` is live at the top position,
   /// exactly as the sequential chain would leave them.
   int prep_cz_teleport_measure(int new_wire, std::uint64_t partner_pos_mask,

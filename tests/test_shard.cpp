@@ -306,6 +306,76 @@ TEST(ShardTask, ErrorsCarryTheLowestFailingIndex) {
   EXPECT_NE(unknown.error_message.find("unknown backend"), std::string::npos);
 }
 
+TEST(ShardTask, FramesWithOneSpecShareOneCostTable) {
+  // Every frame decodes a fresh Workload.  The worker's warm workload
+  // cache hands the second frame the first one's workload, cost-table
+  // memo included, and the values stay an in-process Session's.
+  Rng g(7);
+  const Workload w = Workload::maxcut(random_regular_graph(10, 3, g));
+  const std::vector<Angles> points = {Angles({0.4}, {0.3}),
+                                      Angles({-0.7}, {1.2})};
+  Session serial(w, "mbqc", sharded_options(5, 1));
+  const std::vector<real> want = serial.expectation_batch(points);
+
+  shard::Request req;
+  req.kind = shard::TaskKind::kExpectation;
+  req.backend = "mbqc";
+  req.seed = 5;
+  req.workload = w;
+  req.points = points;
+  req.stream_base = std::uint64_t{1} << 63;  // a fresh Session's first call
+  req.end = points.size();
+  const std::vector<std::byte> frame = shard::encode_request(req);
+  std::shared_ptr<const std::vector<real>> tables[2];
+  for (auto& table : tables) {
+    const shard::Request decoded = shard::decode_request(frame);
+    const shard::Response r = shard::execute_request(decoded);
+    ASSERT_TRUE(r.ok) << r.error_message;
+    ASSERT_EQ(r.values.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.values[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << i;
+    table = shard::warm_workload(decoded.workload,
+                                 api::spec_fingerprint(decoded.workload.spec()))
+                .cost_table();
+  }
+  EXPECT_EQ(tables[0], tables[1]);
+  EXPECT_NE(shard::decode_request(frame).workload.cost_table(), tables[0])
+      << "a decoded workload shares its memo with nothing";
+}
+
+TEST(ShardTask, WarmWorkloadCacheComparesCostsAndBoundsBytes) {
+  // One fingerprint for two cost functions, as a collision would give:
+  // the second must get its own table, never the first one's.
+  const std::uint64_t key = 0x5EEDu;
+  const auto table_of = [&](const Workload& w) {
+    return shard::warm_workload(w, key).cost_table();
+  };
+  const auto ring = table_of(Workload::maxcut(cycle_graph(8)));
+  EXPECT_EQ(table_of(Workload::maxcut(cycle_graph(8))), ring);
+  const Workload star = Workload::maxcut(star_graph(8));
+  const auto other = table_of(star);
+  EXPECT_NE(other, ring);
+  EXPECT_EQ(*other, star.cost().cost_table());
+
+  // A 2^22-entry table fills the budget alone: keeping it evicts the
+  // ring, which comes back with a fresh table.  Tables are charged
+  // before they are built, so the big one never is.
+  ASSERT_EQ(std::uint64_t{sizeof(real)} << 22, shard::kWarmTableBytes);
+  shard::warm_workload(Workload::maxcut(cycle_graph(22)), 0xB16u);
+  const auto again = table_of(Workload::maxcut(cycle_graph(8)));
+  EXPECT_NE(again, ring);
+  EXPECT_EQ(*again, *ring);
+
+  // A table larger than the budget is not kept, and evicts nothing, up
+  // to the largest register a spec allows.
+  for (const int n : {23, 63}) {
+    shard::warm_workload(Workload::maxcut(cycle_graph(n)), 0xB17u);
+    EXPECT_EQ(table_of(Workload::maxcut(cycle_graph(8))), again) << n;
+  }
+}
+
 TEST(ShardTask, WorkerItemsShareATeamFromTheParallelGrain) {
   // A worker (execute_request) runs a slice's items on a team only when
   // they hold at least kParallelGrain amplitudes in all (items x 2^n); an

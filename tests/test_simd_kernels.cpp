@@ -480,8 +480,8 @@ TEST(SimdKernels, RandomizedRangedKernelsMatchScalarBitwise) {
 // Of the drivers that read a pending gain, prep_total_fold runs with
 // g = 1 and a random g, the gadget with the random g (the interpreted
 // prep over the settled register x·g must fold to the same total) and
-// the teleport alternating the two.  This is the public-API face of the
-// dispatch-time driver battery.
+// the teleport alternating the two.  This is the thread sweep the
+// dispatch-time driver battery, which runs on one thread, leaves out.
 TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
   // The budget caps every team: raise it so t = 8 really runs 8 threads.
   ThreadGuard guard;
@@ -594,6 +594,133 @@ TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
       EXPECT_TRUE(buffers_bit_equal(want.amps, got.amps));
     }
   }
+}
+
+// --- the other outcome's projection fold ------------------------------------
+// A sampled fused measure projects the outcome its early draw guesses
+// and reads the other outcome's fold off the same pass
+// (DynamicStatevector::prep_cz_measure, prep_cz_teleport_measure).  Both
+// identities, bit for bit, on every host flavor at threads {1, 2, 3, 8},
+// in f64 and f32:
+//  * J step, XY or X basis with the measured position q among the
+//    partners: the teleport partials combined upper half first
+//    (TeleportFolds::swapped) equal teleport_collapse_fold under the
+//    other outcome's effects, on chunked registers, for q at 0, 1, 2,
+//    top − 1 and top and partner masks with and without bits below q;
+//  * gadget, YZ or Z basis: the projection folds under outcome 0's and
+//    outcome 1's effects are equal, from 2^3 to 2^16 amplitudes.
+
+template <class R>
+const CollapseKernelsT<R>& flavor_kernels(SimdIsa isa) {
+  if constexpr (std::is_same_v<R, double>)
+    return *kernels_for_isa(isa);
+  else
+    return *kernels_for_isa_f32(isa);
+}
+
+template <class R>
+bool same_r(R a, R b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// The effect <b_m| of row `row` in the register's element type.
+template <class R>
+std::complex<R> effect(const Matrix& basis, int row, int m) {
+  const cplx e = std::conj(basis(row, m));
+  return {static_cast<R>(e.real()), static_cast<R>(e.imag())};
+}
+
+template <class R>
+void check_other_outcome_folds() {
+  using C = std::complex<R>;
+  Rng rng(sizeof(R) == 8 ? 2024 : 2025);
+  const R s = static_cast<R>(1.0 / std::sqrt(2.0));
+  const auto amps = [&](std::uint64_t n) {
+    std::vector<C> v(n);
+    for (auto& a : v)
+      a = {static_cast<R>(rng.uniform() * 2.0 - 1.0),
+           static_cast<R>(rng.uniform() * 2.0 - 1.0)};
+    return v;
+  };
+  int checks = 0;
+
+  for (const int nq : {14, 15, 16}) {
+    const std::uint64_t dim = std::uint64_t{1} << nq;
+    ASSERT_TRUE(thr::chunked(dim));
+    const auto x = amps(dim);
+    std::vector<C> out(dim), other(dim);
+    for (const int q : {0, 1, 2, nq - 2, nq - 1}) {
+      const std::uint64_t qbit = std::uint64_t{1} << q;
+      const std::uint64_t above = ~((qbit << 1) - 1);
+      for (const std::uint64_t pm :
+           {(rng.uniform_index(dim) & above) | qbit,
+            rng.uniform_index(dim) | qbit | (q > 0 ? 1 : 0)}) {
+        const Matrix basis =
+            q % 2 == 0 ? measurement_basis(MeasBasis::XY, rng.angle())
+                       : measurement_basis(MeasBasis::X, 0.0);
+        const R g = static_cast<R>(random_gain(rng));
+        for (SimdIsa isa : supported_simd_isas()) {
+          const CollapseKernelsT<R>& k = flavor_kernels<R>(isa);
+          for (int t : {1, 2, 3, 8}) {
+            SCOPED_TRACE(std::string("isa=") + isa_name(isa) + " t=" +
+                         std::to_string(t) + " dim=2^" + std::to_string(nq) +
+                         " q=" + std::to_string(q) +
+                         " pmask=" + std::to_string(pm));
+            for (int m : {0, 1}) {
+              const auto w = thr::teleport_collapse_with_total(
+                  k, x.data(), out.data(), dim, q, pm, effect<R>(basis, 0, m),
+                  effect<R>(basis, 1, m), g, s, t);
+              const R f = thr::teleport_collapse_fold(
+                  k, x.data(), other.data(), dim, q, pm,
+                  effect<R>(basis, 0, 1 - m), effect<R>(basis, 1, 1 - m), g,
+                  s, t);
+              EXPECT_TRUE(same_r(w.swapped, f))
+                  << "outcome " << m << ": " << w.swapped << " vs " << f;
+              ++checks;
+            }
+          }
+        }
+      }
+    }
+  }
+
+  for (int nq = 3; nq <= 16; ++nq) {
+    const std::uint64_t dim = std::uint64_t{1} << nq;
+    const auto x = amps(dim);
+    std::vector<C> out(dim);
+    for (int b = 0; b < 3; ++b) {
+      const Matrix basis = b < 2 ? measurement_basis(MeasBasis::YZ, rng.angle())
+                                 : measurement_basis(MeasBasis::Z, 0.0);
+      const std::uint64_t pm = rng.uniform_index(dim);
+      const R g = static_cast<R>(random_gain(rng));
+      for (SimdIsa isa : supported_simd_isas()) {
+        const CollapseKernelsT<R>& k = flavor_kernels<R>(isa);
+        for (int t : {1, 2, 3, 8}) {
+          SCOPED_TRACE(std::string("isa=") + isa_name(isa) + " t=" +
+                       std::to_string(t) + " gadget dim=2^" +
+                       std::to_string(nq) + " basis " + std::to_string(b));
+          R folds[2];
+          for (int m : {0, 1})
+            folds[m] = thr::prep_collapse_with_total(
+                           k, x.data(), out.data(), dim, pm,
+                           effect<R>(basis, 0, m), effect<R>(basis, 1, m), g,
+                           s, t)
+                           .proj;
+          EXPECT_TRUE(same_r(folds[0], folds[1]))
+              << folds[0] << " vs " << folds[1];
+          ++checks;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checks, 0);
+}
+
+TEST(SimdKernels, OtherOutcomeFoldComesFromTheSamePass) {
+  ThreadGuard guard;
+  set_num_threads(8);  // the budget caps every team
+  check_other_outcome_folds<double>();
+  check_other_outcome_folds<float>();
 }
 
 // A DynamicStatevector register ABOVE the chunk cutoff (15 wires =

@@ -89,17 +89,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The kernel dispatch self-check runs on one thread, as it always has
-  // in a worker; then the worker takes its share of the daemon's budget,
-  // which caps every team it opens (common/parallel.h).  A failing
-  // forced flavor throws again at the first request, which answers with
-  // the error.
-  set_num_threads(1);
+  // The worker takes its share of the daemon's budget, which caps every
+  // team it opens (common/parallel.h).  The kernel dispatch self-check
+  // runs before the first request and opens no team.  A failing forced
+  // flavor throws again at the first request, which answers with the
+  // error.
+  set_num_threads(threads);
   try {
     kernels();
   } catch (const std::exception&) {
   }
-  set_num_threads(threads);
 
   try {
     while (true) {

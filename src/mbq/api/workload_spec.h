@@ -90,15 +90,17 @@ struct WorkloadSpec {
   void validate() const;
 };
 
-/// Stable 64-bit FNV-1a hash of the spec's exact codec bytes.  Two specs
-/// fingerprint equal iff they encode equal — so the fingerprint survives
-/// a serialize/parse round trip unchanged, distinguishes any two specs
-/// the codec distinguishes (different costs, angles aside, noise levels,
-/// compile options...), and is stable across processes and runs (FNV-1a
-/// over little-endian bytes has no seed and no pointer dependence).
-/// Used as the serving daemon's warm prepare-cache key, and handy as a
-/// compact workload label in logs and bench output.  Throws Error for
-/// CustomCircuit specs (they do not serialize).
+/// Stable 64-bit FNV-1a hash of the spec's exact codec bytes.  Specs
+/// that encode equal fingerprint equal, so the fingerprint survives a
+/// serialize/parse round trip unchanged and is stable across processes
+/// and runs (FNV-1a over little-endian bytes has no seed and no pointer
+/// dependence).  The converse does not hold: FNV-1a is not
+/// collision-resistant, so equal fingerprints do not prove equal
+/// encodings, and a cache that must not serve one spec's artifacts for
+/// another compares the bytes (shard::SpecKey).  Handy as a compact
+/// workload label in logs, bench output and the daemon's warm-hit
+/// bookkeeping.  Throws Error for CustomCircuit specs (they do not
+/// serialize).
 std::uint64_t spec_fingerprint(const WorkloadSpec& spec);
 
 /// FNV-1a 64 over raw bytes — the primitive under spec_fingerprint,

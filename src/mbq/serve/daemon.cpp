@@ -16,19 +16,20 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <list>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "mbq/api/workload_spec.h"
 #include "mbq/common/error.h"
 #include "mbq/common/parallel.h"
 #include "mbq/common/serialize.h"
 #include "mbq/shard/plan.h"
+#include "mbq/shard/task.h"
 #include "mbq/shard/worker.h"
 
 namespace mbq::serve {
@@ -52,9 +53,10 @@ int thread_share(int budget, int seats, int i) {
 }
 
 /// Warm-cache identity of one (backend, workload, angles) evaluation —
-/// the same tuple the worker-side prepare LRU is keyed by, so a daemon
-/// "seen before" is exactly a fleet "no recompile needed" (modulo LRU
-/// eviction and which worker the affinity router lands on).
+/// the tuple the worker-side prepare LRU is keyed by, hashed, so a
+/// daemon "seen before" is a fleet "no recompile needed" up to which
+/// worker the affinity router lands on (and a hash collision, which
+/// can only misreport a hit: the workers key on the spec's bytes).
 std::uint64_t warm_key(std::uint64_t spec_fp, const std::string& backend,
                        const qaoa::Angles& point) {
   ByteWriter w;
@@ -159,10 +161,32 @@ struct Daemon::Impl {
   std::uint64_t next_conn_id = 1;
   std::uint64_t rr_last = 0;  // conn id granted the previous dispatch
   std::vector<Seat> seats;
-  std::unordered_set<std::uint64_t> warm_seen;
+  // The warm_key of every point served, most recently seen first, at
+  // most as many as the workers' prepare caches hold together.
+  std::list<std::uint64_t> warm_order;
+  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
+      warm_seen;
 
   mutable std::mutex stats_mu;
   DaemonStats stats;
+
+  /// Marks a point seen now and reports whether it was seen before.
+  /// Past workers × shard::kPrepCacheCapacity points the least recently
+  /// seen one is forgotten, as the workers' LRUs would have evicted it.
+  bool seen_warm(std::uint64_t key) {
+    if (const auto it = warm_seen.find(key); it != warm_seen.end()) {
+      warm_order.splice(warm_order.begin(), warm_order, it->second);
+      return true;
+    }
+    warm_order.push_front(key);
+    warm_seen.emplace(key, warm_order.begin());
+    if (warm_order.size() >
+        static_cast<std::size_t>(workers) * shard::kPrepCacheCapacity) {
+      warm_seen.erase(warm_order.back());
+      warm_order.pop_back();
+    }
+    return false;
+  }
 
   // --- stats helpers ----------------------------------------------------
 
@@ -421,16 +445,17 @@ struct Daemon::Impl {
       const std::uint64_t fp = api::spec_fingerprint(whole->workload.spec());
 
       // Warm-cache accounting: a request is a hit when every one of its
-      // (backend, spec, angles) points has been served before.
+      // (backend, spec, angles) points was served recently enough that a
+      // worker may still hold its artifact.
       bool all_seen = !whole->points.empty();
       std::uint64_t hits = 0;
       std::uint64_t misses = 0;
       for (const qaoa::Angles& pt : whole->points) {
-        if (warm_seen.insert(warm_key(fp, whole->backend, pt)).second) {
+        if (seen_warm(warm_key(fp, whole->backend, pt))) {
+          ++hits;
+        } else {
           all_seen = false;
           ++misses;
-        } else {
-          ++hits;
         }
       }
       stat([&](DaemonStats& st) {
@@ -947,6 +972,7 @@ void Daemon::stop() {
   im.teardown_fleet();
   im.teardown_sockets();
   im.warm_seen.clear();
+  im.warm_order.clear();
   im.running.store(false);
 }
 

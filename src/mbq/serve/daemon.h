@@ -34,11 +34,12 @@
 //     respawns included, runs on its seat's share.  Results are
 //     bit-identical at every share, as they are at every budget.
 //   * Warm cache: workers keep a prepare-artifact LRU keyed by
-//     (backend, spec_fingerprint, angles) — see shard/task.cpp — and
-//     the scheduler routes slices of a fingerprint it has seen to the
+//     (backend, spec bytes, angles) — see shard/task.h — and the
+//     scheduler routes slices of a fingerprint it has seen to the
 //     worker that last ran it when one is free.  Repeated (workload,
 //     angles) pairs, from any client, skip compilation; the daemon
-//     reports hits in DONE frames and aggregate stats.
+//     reports hits in DONE frames and aggregate stats, remembering as
+//     many points as the workers' LRUs hold together.
 //
 // Determinism contract: the daemon never invents randomness and never
 // rewrites spec bytes; it only cuts [begin, end) into sub-slices with

@@ -107,9 +107,11 @@ struct Done {
   std::uint64_t request_id = 0;
   std::uint32_t slices = 0;        // slices the request was cut into
   std::uint32_t redispatched = 0;  // slices re-run after a worker death
-  /// True when the daemon had already seen this (spec fingerprint,
-  /// angles) pair — the fleet's warm prepare cache served it without
-  /// recompiling.
+  /// True when every (backend, spec, angles) point of the request was
+  /// among the last workers × shard::kPrepCacheCapacity points the
+  /// daemon served — the most the workers' prepare LRUs hold together.
+  /// On a miss some point must be compiled again; on a hit a worker may
+  /// still hold every artifact.
   bool warm_hit = false;
 };
 

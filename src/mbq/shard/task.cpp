@@ -1,12 +1,10 @@
 #include "mbq/shard/task.h"
 
 #include <algorithm>
-#include <bit>
 #include <exception>
 #include <mutex>
 
 #include "mbq/api/registry.h"
-#include "mbq/api/workload_spec.h"
 #include "mbq/common/error.h"
 #include "mbq/common/parallel.h"
 
@@ -34,7 +32,7 @@ void require_supported(const api::Backend& backend, const api::Workload& w,
 
 // --- warm prepare cache ------------------------------------------------
 // A small process-global LRU over prepare() artifacts, keyed by (backend
-// registry name, spec fingerprint, exact angle values).  For the serving
+// registry name, spec key, exact angle values).  For the serving
 // daemon's fleet it IS the warm cache: a repeated (workload, angles)
 // pair from any client — or from the next round of a sharded Session's
 // variational loop — skips compilation entirely.  Safe because prepare
@@ -46,23 +44,21 @@ void require_supported(const api::Backend& backend, const api::Workload& w,
 
 struct PrepCacheEntry {
   std::string backend;
-  std::uint64_t fingerprint = 0;
+  SpecKey spec;
   std::vector<real> angles;
   std::shared_ptr<const api::Prepared> prepared;
   std::uint64_t last_used = 0;
 };
 
-constexpr std::size_t kPrepCacheCapacity = 32;
 std::vector<PrepCacheEntry> g_prep_cache;
 std::uint64_t g_prep_clock = 0;
 
 std::shared_ptr<const api::Prepared> cached_prepare(
     const api::Backend& backend, const std::string& backend_name,
-    std::uint64_t fingerprint, const api::Workload& w, const qaoa::Angles& a) {
+    const SpecKey& spec, const api::Workload& w, const qaoa::Angles& a) {
   const std::vector<real> key = a.flat();
   for (PrepCacheEntry& e : g_prep_cache) {
-    if (e.fingerprint == fingerprint && e.backend == backend_name &&
-        e.angles == key) {
+    if (e.backend == backend_name && e.angles == key && e.spec == spec) {
       e.last_used = ++g_prep_clock;
       return e.prepared;
     }
@@ -75,8 +71,7 @@ std::shared_ptr<const api::Prepared> cached_prepare(
         g_prep_cache.begin(), g_prep_cache.end(),
         [](const auto& x, const auto& y) { return x.last_used < y.last_used; }));
   }
-  g_prep_cache.push_back(
-      {backend_name, fingerprint, key, prepared, ++g_prep_clock});
+  g_prep_cache.push_back({backend_name, spec, key, prepared, ++g_prep_clock});
   return prepared;
 }
 
@@ -87,7 +82,7 @@ std::shared_ptr<const api::Prepared> cached_prepare(
 // whether built yet or not, and unsynchronized like the prepare cache.
 
 struct WorkloadCacheEntry {
-  std::uint64_t fingerprint = 0;
+  SpecKey spec;
   api::Workload workload;
   std::uint64_t bytes = 0;
   std::uint64_t last_used = 0;
@@ -97,31 +92,18 @@ std::vector<WorkloadCacheEntry> g_workload_cache;
 std::uint64_t g_workload_bytes = 0;
 std::uint64_t g_workload_clock = 0;
 
-bool same_bits(real a, real b) noexcept {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-/// Bitwise equality of two cost functions' Ising forms: equal forms
-/// build equal tables.
-bool same_cost(const qaoa::CostHamiltonian& a, const qaoa::CostHamiltonian& b) {
-  if (a.num_qubits() != b.num_qubits() ||
-      !same_bits(a.constant(), b.constant()) ||
-      a.terms().size() != b.terms().size())
-    return false;
-  for (std::size_t i = 0; i < a.terms().size(); ++i) {
-    const qaoa::IsingTerm& x = a.terms()[i];
-    const qaoa::IsingTerm& y = b.terms()[i];
-    if (!same_bits(x.coeff, y.coeff) || x.support != y.support) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
-api::Workload warm_workload(const api::Workload& w, std::uint64_t fingerprint) {
+SpecKey spec_key(const api::WorkloadSpec& spec) {
+  SpecKey key;
+  key.bytes = api::serialize_spec(spec);
+  key.fingerprint = api::fnv1a64(key.bytes);
+  return key;
+}
+
+api::Workload warm_workload(const api::Workload& w, const SpecKey& key) {
   for (WorkloadCacheEntry& e : g_workload_cache) {
-    if (e.fingerprint == fingerprint &&
-        same_cost(e.workload.cost(), w.cost())) {
+    if (e.spec == key) {
       e.last_used = ++g_workload_clock;
       return e.workload;
     }
@@ -140,7 +122,7 @@ api::Workload warm_workload(const api::Workload& w, std::uint64_t fingerprint) {
     g_workload_cache.erase(lru);
   }
   g_workload_bytes += bytes;
-  g_workload_cache.push_back({fingerprint, w, bytes, ++g_workload_clock});
+  g_workload_cache.push_back({key, w, bytes, ++g_workload_clock});
   return w;
 }
 
@@ -206,16 +188,15 @@ Response execute_request(Request req) {
                                       << space);
     const std::shared_ptr<api::Backend> backend =
         api::BackendRegistry::instance().create(req.backend);
-    const std::uint64_t fingerprint =
-        api::spec_fingerprint(req.workload.spec());
-    req.workload = warm_workload(req.workload, fingerprint);
+    const SpecKey spec = spec_key(req.workload.spec());
+    req.workload = warm_workload(req.workload, spec);
     std::vector<std::shared_ptr<const api::Prepared>> preps(req.points.size());
     // t walks the first index of every point the slice touches.
     for (std::uint64_t t = req.begin; t < req.end;) {
       const std::uint64_t i = sample ? t / req.shots : t;
       try {
-        preps[i] = cached_prepare(*backend, req.backend, fingerprint,
-                                  req.workload, req.points[i]);
+        preps[i] = cached_prepare(*backend, req.backend, spec, req.workload,
+                                  req.points[i]);
       } catch (const std::exception& e) {
         return error_response(t, e.what());
       }

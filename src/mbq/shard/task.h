@@ -15,10 +15,13 @@
 // evaluate().  Both are pure functions of the request, so results are
 // bit-identical wherever they run.
 
+#include <cstddef>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "mbq/api/backend.h"
+#include "mbq/api/workload_spec.h"
 #include "mbq/shard/protocol.h"
 
 namespace mbq::shard {
@@ -49,18 +52,36 @@ Response evaluate(
 /// more than a smaller slice takes.  Never throws.
 Response execute_request(Request req);
 
+/// A spec as the worker caches know it: its exact codec bytes, and
+/// their fingerprint, which rejects almost every mismatch in one
+/// compare.  Keys are equal only when the bytes are, so a fingerprint
+/// collision can never hand one spec another's settings.
+struct SpecKey {
+  std::uint64_t fingerprint = 0;
+  std::vector<std::byte> bytes;
+
+  bool operator==(const SpecKey&) const = default;
+};
+
+/// The key of a serializable spec.
+SpecKey spec_key(const api::WorkloadSpec& spec);
+
+/// The worker's warm prepare cache keeps at most this many (backend,
+/// spec, angles) artifacts, evicting the least recently used first.
+inline constexpr std::size_t kPrepCacheCapacity = 32;
+
 /// The worker's warm workload cache holds at most this many bytes of
 /// cost tables.
 inline constexpr std::uint64_t kWarmTableBytes = std::uint64_t{32} << 20;
 
-/// The cached workload for w's spec fingerprint whose cost function is
-/// bitwise equal to w's, so that its cost-table memo
-/// (api::Workload::cost_table) outlives the frame that decoded w; on a
-/// miss, w itself, now cached.  Each entry is charged its table's full
-/// 2^n doubles, built or not; least recently used entries leave first
-/// once the tables would exceed kWarmTableBytes, and a workload whose
-/// table alone exceeds it is not kept.  Not synchronized: only
-/// execute_request calls it, before any item fans out.
-api::Workload warm_workload(const api::Workload& w, std::uint64_t fingerprint);
+/// The cached workload under `key` (the key of w's spec), so that its
+/// cost-table memo (api::Workload::cost_table) outlives the frame that
+/// decoded w; on a miss, w itself, now cached.  Each entry is charged
+/// its table's full 2^n doubles, built or not; least recently used
+/// entries leave first once the tables would exceed kWarmTableBytes,
+/// and a workload whose table alone exceeds it is not kept.  Not
+/// synchronized: only execute_request calls it, before any item fans
+/// out.
+api::Workload warm_workload(const api::Workload& w, const SpecKey& key);
 
 }  // namespace mbq::shard

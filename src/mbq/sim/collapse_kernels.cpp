@@ -89,9 +89,9 @@ bool run_battery(const CollapseKernelsT<R>& k) {
     if (!same(ref.prep_total_fold(x.data(), n, kGain, kInvSqrt2),
               k.prep_total_fold(x.data(), n, kGain, kInvSqrt2)))
       return false;
-    const R fa = ref.scale_fold(x.data(), n, R(1.3));
-    const R fb = k.scale_fold(y.data(), n, R(1.3));
-    if (!same(fa, fb) || !same(x, y)) return false;
+    ref.scale(x.data(), n, R(1.3));
+    k.scale(y.data(), n, R(1.3));
+    if (!same(x, y)) return false;
   }
 
   const std::size_t dim = 256;
@@ -149,19 +149,14 @@ bool run_battery(const CollapseKernelsT<R>& k) {
   }
 
   for (std::uint64_t pmask : {0x0ULL, 0x3ULL, 0x15ULL, 0x81ULL}) {
+    // The interpreted prep's mirror half, over two slices.
     fill(x, 2 * dim, 0xADD ^ pmask);
     y = x;
-    const R fa = ref.add_plus_cz(x.data(), dim, pmask, R(0.5));
-    const R fb = k.add_plus_cz(y.data(), dim, pmask, R(0.5));
-    if (!same(fa, fb) || !same(x, y)) return false;
-    // Ranged mirror over the already-scaled lower half.
     for (const auto& rr : {std::pair<std::uint64_t, std::uint64_t>{0, 64},
                            std::pair<std::uint64_t, std::uint64_t>{64, 256}}) {
-      const R ma = ref.mirror_cz_range(x.data(), dim, rr.first, rr.second,
-                                       pmask);
-      const R mb = k.mirror_cz_range(y.data(), dim, rr.first, rr.second,
-                                     pmask);
-      if (!same(ma, mb) || !same(x, y)) return false;
+      ref.mirror_cz_range(x.data(), dim, rr.first, rr.second, pmask);
+      k.mirror_cz_range(y.data(), dim, rr.first, rr.second, pmask);
+      if (!same(x, y)) return false;
     }
   }
 
@@ -196,15 +191,6 @@ bool run_battery(const CollapseKernelsT<R>& k) {
     y = x;
     ref.cz_masks_pass(x.data(), dim, masks, count);
     k.cz_masks_pass(y.data(), dim, masks, count);
-    if (!same(x, y)) return false;
-  }
-
-  for (int q : {0, 1, 3, 6}) {
-    fill(x, dim, 0x9FA5E ^ static_cast<std::uint64_t>(q));
-    y = x;
-    const C e{R(0.984807753012208), R(0.17364817766693033)};
-    ref.phase_pass(x.data(), dim, q, e);
-    k.phase_pass(y.data(), dim, q, e);
     if (!same(x, y)) return false;
   }
 
@@ -252,7 +238,7 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
   // settled in place (x·g), ahead of an upper half to overwrite.
   const auto settled = [&](std::vector<C>& to, std::uint64_t d) {
     copy(to, 2 * d);
-    ref.scale_fold(to.data(), d, g);
+    ref.scale(to.data(), d, g);
   };
 
   if (!same(thr::fold_norms(ref, x.data(), dim, 1),
@@ -279,28 +265,26 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
         return false;
     }
 
-    // The doubled register's total three ways: fused and compiled
-    // prep_total_fold reading x with the gain pending, and interpreted
-    // add_plus_cz over the settled register.
+    // The doubled register's total, fused and compiled prep_total_fold
+    // reading x with the gain pending; then the interpreted add_plus_cz
+    // over the settled register.
     ox.assign(d, C{});
     const auto pa = thr::prep_collapse_with_total(ref, x.data(), ox.data(), d,
                                                   pmask, e0, e1, g, s, 1);
     const R ta = thr::prep_total_fold(ref, x.data(), d, g, s, 1);
     const R ja =
         thr::prep_collapse(ref, x.data(), ox.data(), d, pmask, e0, e1, g, s, 1);
-    settled(y, d);
-    const R ga = thr::add_plus_cz(ref, y.data(), d, pmask, s, 1);
-    if (!same(pa.total, ta) || !same(pa.total, ga) || !same(pa.proj, ja))
-      return false;  // fusion
+    if (!same(pa.total, ta) || !same(pa.proj, ja)) return false;  // fusion
     oy.assign(d, C{});
     const auto pb = thr::prep_collapse_with_total(k, x.data(), oy.data(), d,
                                                   pmask, e0, e1, g, s, 1);
     if (!same(pa.total, pb.total) || !same(pa.proj, pb.proj) || !same(ox, oy))
       return false;
+    settled(y, d);
+    thr::add_plus_cz(ref, y.data(), d, pmask, s, 1);
     settled(oy, d);
-    if (!same(ga, thr::add_plus_cz(k, oy.data(), d, pmask, s, 1)) ||
-        !same(y, oy))
-      return false;
+    thr::add_plus_cz(k, oy.data(), d, pmask, s, 1);
+    if (!same(y, oy)) return false;
   }
 
   // The teleport: its fused Born total against prep_total_fold +
@@ -357,15 +341,6 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
     thr::pauli_swap_pass(ref, y.data(), dim, xm, parm, eqm, true, 1);
     copy(oy, dim);
     thr::pauli_swap_pass(k, oy.data(), dim, xm, parm, eqm, true, 1);
-    if (!same(y, oy)) return false;
-  }
-
-  for (int q : {2, L}) {
-    const C e{R(0.984807753012208), R(0.17364817766693033)};
-    copy(y, dim);
-    thr::phase_pass(ref, y.data(), dim, q, e, 1);
-    copy(oy, dim);
-    thr::phase_pass(k, oy.data(), dim, q, e, 1);
     if (!same(y, oy)) return false;
   }
 

@@ -25,13 +25,13 @@
 //   trivially exact; no kernel uses FMA (and the build sets
 //   -ffp-contract=off so no compiler re-fuses one in).
 //
-// The fold-reuse machinery (DynamicStatevector::fold_) depends on this
-// contract: a running fold maintained by one kernel must be bitwise
-// equal to a fresh pass by another.  Dispatch therefore runs a
-// self-check battery (verify_kernels) comparing every vector flavor
-// against the scalar reference on deterministic data; a flavor that
-// fails is rejected at dispatch time — auto mode falls back down the
-// ladder, a forced MBQ_SIMD flavor throws.
+// Born probabilities and renormalization gains are quotients of these
+// folds, so the contract is what keeps outcome streams equal across
+// ISAs.  Dispatch therefore runs a self-check battery (verify_kernels)
+// comparing every vector flavor against the scalar reference on
+// deterministic data; a flavor that fails is rejected at dispatch time
+// — auto mode falls back down the ladder, a forced MBQ_SIMD flavor
+// throws.
 //
 // NOTE the canonical fold fixes the reduction ORDER once for all ISAs;
 // it is intentionally not the old strictly-sequential accumulation, so
@@ -120,8 +120,8 @@ inline std::complex<R> eff_mul(EffKind k, const std::complex<R>& e,
 /// the scalar reference, which is bit-identical by the contract: sizes
 /// or slices off the lane quantum, a teleport partner below a measured
 /// wire at or above one register, Pauli swaps whose X mask touches the
-/// positions inside one register, and collapse_pairs / phase_pass on a
-/// wire inside one register (see collapse_kernels_vec.h).
+/// positions inside one register, and collapse_pairs on a wire inside
+/// one register (see collapse_kernels_vec.h).
 template <class R>
 struct CollapseKernelsT {
   using C = std::complex<R>;
@@ -150,9 +150,9 @@ struct CollapseKernelsT {
   /// bitwise).
   R (*prep_total_fold)(const C* x, std::uint64_t n, R g, R s);
 
-  /// x[i] *= inv for all i, returning the canonical fold of the scaled
-  /// values — the collapse-normalization pass shared by every measure.
-  R (*scale_fold)(C* x, std::uint64_t n, R inv);
+  /// x[i] *= inv for all i: a renormalization, a settled gain, or the
+  /// 1/√2 of the interpreted prep's lower half.
+  void (*scale)(C* x, std::uint64_t n, R inv);
 
   /// measure_remove projection: for pair index k in [0, pairs),
   /// i0 = insert_zero_bit(k, q),
@@ -181,12 +181,6 @@ struct CollapseKernelsT {
   void (*teleport_collapse)(const C* x, C* out, std::uint64_t dim, int q,
                             std::uint64_t pmask, C e0, C e1, R g, R s);
 
-  /// add_wire_plus_cz in place: scale x[0..old_dim) by s, mirror into
-  /// x[old_dim..2·old_dim) with sign (−1)^parity(i & pmask); returns
-  /// the canonical fold over all 2·old_dim amplitudes (one carried
-  /// accumulator set across both halves, ascending).
-  R (*add_plus_cz)(C* x, std::uint64_t old_dim, std::uint64_t pmask, R s);
-
   /// Generic sign pass: negate x[j] when
   ///   ((eq_mask != 0) && ((j & eq_mask) == eq_mask))
   ///     ^ parity(j & par_mask) ^ negate.
@@ -214,12 +208,6 @@ struct CollapseKernelsT {
                           std::uint64_t zmask, std::uint64_t eq_mask,
                           bool negate);
 
-  /// Diagonal phase on the bit-q=1 half: x[i1] = cmul(e, x[i1]) for
-  /// every i1 with bit q set (n = full register size).  The dedicated
-  /// apply_rz kernel — diagonal and norm-preserving, so the caller may
-  /// keep its fold valid.
-  void (*phase_pass)(C* x, std::uint64_t n, int q, C e);
-
   /// Ranged teleport projection for the chunk drivers: pair ranks
   /// r ∈ [r_begin, r_end) of the teleport_collapse definition above,
   /// writing out[r] and out[dim/2 + r] and folding each half of the
@@ -232,13 +220,11 @@ struct CollapseKernelsT {
                                   R s, std::uint64_t r_begin,
                                   std::uint64_t r_end, R* fold_lo, R* fold_hi);
 
-  /// Ranged mirror half of add_plus_cz: for i ∈ [i_begin, i_end) with
-  /// the LOWER half already scaled, x[old_dim + i] =
-  /// parity(i & pmask) ? −x[i] : x[i]; returns the canonical fold of
-  /// the written slice (fresh accumulator set, lanes restart at
-  /// i_begin).
-  R (*mirror_cz_range)(C* x, std::uint64_t old_dim, std::uint64_t i_begin,
-                       std::uint64_t i_end, std::uint64_t pmask);
+  /// The mirror half of add_wire_plus_cz, ranged: for i ∈ [i_begin,
+  /// i_end) with the LOWER half already scaled, x[old_dim + i] =
+  /// parity(i & pmask) ? −x[i] : x[i].
+  void (*mirror_cz_range)(C* x, std::uint64_t old_dim, std::uint64_t i_begin,
+                          std::uint64_t i_end, std::uint64_t pmask);
 
   /// Ranged pauli_swap_pass over pair ranks p ∈ [p_begin, p_end):
   /// j = insert_zero_bit(p, hb) with hb the top set bit of xmask —

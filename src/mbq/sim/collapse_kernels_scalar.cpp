@@ -61,13 +61,8 @@ R s_prep_total_fold(const std::complex<R>* x, std::uint64_t n, R g, R s) {
 }
 
 template <class R>
-R s_scale_fold(std::complex<R>* x, std::uint64_t n, R inv) {
-  FoldAcc<R> acc;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    x[i] *= inv;
-    acc.add(x[i]);
-  }
-  return acc.combine();
+void s_scale(std::complex<R>* x, std::uint64_t n, R inv) {
+  for (std::uint64_t i = 0; i < n; ++i) x[i] *= inv;
 }
 
 template <class R>
@@ -174,34 +169,11 @@ void s_teleport_collapse_range(const std::complex<R>* x, std::complex<R>* out,
 }
 
 template <class R>
-R s_add_plus_cz(std::complex<R>* x, std::uint64_t old_dim, std::uint64_t pmask,
-                R s) {
-  FoldAcc<R> acc;
-  for (std::uint64_t i = 0; i < old_dim; ++i) {
-    x[i] *= s;
-    acc.add(x[i]);
-  }
-  for (std::uint64_t i = 0; i < old_dim; ++i) {
-    std::complex<R> v = x[i];
-    if (parity64(i & pmask)) v = -v;
-    x[old_dim + i] = v;
-    acc.add(v);
-  }
-  return acc.combine();
-}
-
-template <class R>
-R s_mirror_cz_range(std::complex<R>* x, std::uint64_t old_dim,
-                    std::uint64_t i_begin, std::uint64_t i_end,
-                    std::uint64_t pmask) {
-  FoldAcc<R> acc;
-  for (std::uint64_t i = i_begin; i < i_end; ++i) {
-    std::complex<R> v = x[i];
-    if (parity64(i & pmask)) v = -v;
-    x[old_dim + i] = v;
-    acc.add(v);
-  }
-  return acc.combine();
+void s_mirror_cz_range(std::complex<R>* x, std::uint64_t old_dim,
+                       std::uint64_t i_begin, std::uint64_t i_end,
+                       std::uint64_t pmask) {
+  for (std::uint64_t i = i_begin; i < i_end; ++i)
+    x[old_dim + i] = parity64(i & pmask) ? -x[i] : x[i];
 }
 
 template <class R>
@@ -263,31 +235,18 @@ void s_pauli_swap_range(std::complex<R>* x, std::uint64_t xmask,
 }
 
 template <class R>
-void s_phase_pass(std::complex<R>* x, std::uint64_t n, int q,
-                  std::complex<R> e) {
-  const std::uint64_t stride = std::uint64_t{1} << q;
-  const std::uint64_t pairs = n / 2;
-  for (std::uint64_t k = 0; k < pairs; ++k) {
-    const std::uint64_t i1 = insert_zero_bit(k, q) | stride;
-    x[i1] = cmul(e, x[i1]);
-  }
-}
-
-template <class R>
 constexpr CollapseKernelsT<R> kScalarTable = {
     SimdIsa::Scalar,
     s_fold_norms<R>,
     s_fold_norms_scaled<R>,
     s_prep_total_fold<R>,
-    s_scale_fold<R>,
+    s_scale<R>,
     s_collapse_pairs<R>,
     s_prep_collapse<R>,
     s_teleport_collapse<R>,
-    s_add_plus_cz<R>,
     s_sign_pass<R>,
     s_cz_masks_pass<R>,
     s_pauli_swap_pass<R>,
-    s_phase_pass<R>,
     s_teleport_collapse_range<R>,
     s_mirror_cz_range<R>,
     s_pauli_swap_range<R>,

@@ -24,7 +24,7 @@
 //    register (the ± signs would vary inside a register);
 //  * Pauli swaps whose X mask touches the positions inside one register
 //    (the swap would pair lanes of one register);
-//  * collapse_pairs and phase_pass on a wire inside one register.
+//  * collapse_pairs on a wire inside one register.
 // A teleport of a wire inside one register gathers its pairs into
 // registers instead (teleport_narrow).  In every bench family half the
 // mixer's J steps take that path (they measure register position 0);
@@ -178,17 +178,15 @@ struct VecKernels {
     return acc.combine();
   }
 
-  static R scale_fold(C* x, std::uint64_t n, R inv) {
-    if (n % kQ != 0) return scalar_kernels_t<R>().scale_fold(x, n, inv);
+  static void scale(C* x, std::uint64_t n, R inv) {
+    if (n % kQ != 0) {
+      scalar_kernels_t<R>().scale(x, n, inv);
+      return;
+    }
     R* p = dp(x);
     const V iv = T::set1(inv);
-    Acc acc;
-    for (std::uint64_t m = 0; m < 2 * n; m += kW) {
-      const V v = T::mul(T::load(p + m), iv);
-      T::store(p + m, v);
-      acc.add(v);
-    }
-    return acc.combine();
+    for (std::uint64_t m = 0; m < 2 * n; m += kW)
+      T::store(p + m, T::mul(T::load(p + m), iv));
   }
 
   static R collapse_pairs(const C* x, C* out, std::uint64_t pairs, int q,
@@ -399,41 +397,18 @@ struct VecKernels {
     *fold_hi = acc_hi.combine();
   }
 
-  static R add_plus_cz(C* x, std::uint64_t old_dim, std::uint64_t pmask,
-                       R s) {
-    if (old_dim % kQ != 0)
-      return scalar_kernels_t<R>().add_plus_cz(x, old_dim, pmask, s);
-    R* p = dp(x);
-    const V sv = T::set1(s);
-    const PairSigns signs(pmask);
-    Acc acc;  // carried across both halves, ascending
-    for (std::uint64_t i = 0; i < old_dim; i += kWc) {
-      const V v = T::mul(T::load(p + 2 * i), sv);
-      T::store(p + 2 * i, v);
-      acc.add(v);
+  static void mirror_cz_range(C* x, std::uint64_t old_dim,
+                              std::uint64_t i_begin, std::uint64_t i_end,
+                              std::uint64_t pmask) {
+    if (i_begin % kQ != 0 || (i_end - i_begin) % kQ != 0) {
+      scalar_kernels_t<R>().mirror_cz_range(x, old_dim, i_begin, i_end, pmask);
+      return;
     }
-    for (std::uint64_t i = 0; i < old_dim; i += kWc) {
-      const V v = T::xor_signs(T::load(p + 2 * i), signs.at(i));
-      T::store(p + 2 * (old_dim + i), v);
-      acc.add(v);
-    }
-    return acc.combine();
-  }
-
-  static R mirror_cz_range(C* x, std::uint64_t old_dim, std::uint64_t i_begin,
-                           std::uint64_t i_end, std::uint64_t pmask) {
-    if (i_begin % kQ != 0 || (i_end - i_begin) % kQ != 0)
-      return scalar_kernels_t<R>().mirror_cz_range(x, old_dim, i_begin, i_end,
-                                                   pmask);
     R* p = dp(x);
     const PairSigns signs(pmask);
-    Acc acc;  // fresh lanes, restarting at i_begin (the slice contract)
-    for (std::uint64_t i = i_begin; i < i_end; i += kWc) {
-      const V v = T::xor_signs(T::load(p + 2 * i), signs.at(i));
-      T::store(p + 2 * (old_dim + i), v);
-      acc.add(v);
-    }
-    return acc.combine();
+    for (std::uint64_t i = i_begin; i < i_end; i += kWc)
+      T::store(p + 2 * (old_dim + i),
+               T::xor_signs(T::load(p + 2 * i), signs.at(i)));
   }
 
   static void sign_pass(C* x, std::uint64_t n, std::uint64_t eq_mask,
@@ -544,28 +519,6 @@ struct VecKernels {
       T::store(p + 2 * base2, T::xor_signs(vj, T::load(mj2)));
     }
   }
-
-  static void phase_pass(C* x, std::uint64_t n, int q, C e) {
-    const std::uint64_t stride = std::uint64_t{1} << q;
-    if (n % kQ != 0 || stride < std::uint64_t(kWc)) {
-      scalar_kernels_t<R>().phase_pass(x, n, q, e);
-      return;
-    }
-    R* p = dp(x);
-    // Always the full product: the scalar phase kernel uses cmul
-    // unconditionally, and only the Generic form matches it bitwise
-    // including zero signs.
-    const V er = T::set1(e.real());
-    const V ei = T::set1(e.imag());
-    const std::uint64_t pairs = n / 2;
-    for (std::uint64_t k = 0; k < pairs; k += kWc) {
-      const std::uint64_t i1 = insert_zero_bit(k, q) | stride;
-      const V u = T::load(p + 2 * i1);
-      const V r = T::add(T::mul(u, er),
-                         T::neg_even(T::mul(T::swap_pairs(u), ei)));
-      T::store(p + 2 * i1, r);
-    }
-  }
 };
 
 template <class T>
@@ -576,15 +529,13 @@ const CollapseKernelsT<typename T::R>* make_vec_table(SimdIsa isa) noexcept {
       K::fold_norms,
       K::fold_norms_scaled,
       K::prep_total_fold,
-      K::scale_fold,
+      K::scale,
       K::collapse_pairs,
       K::prep_collapse,
       K::teleport_collapse,
-      K::add_plus_cz,
       K::sign_pass,
       K::cz_masks_pass,
       K::pauli_swap_pass,
-      K::phase_pass,
       K::teleport_collapse_range,
       K::mirror_cz_range,
       K::pauli_swap_range,

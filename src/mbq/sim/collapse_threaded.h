@@ -45,14 +45,14 @@
 // read, before the op's own scale s.
 //
 // Where two different drivers can cover the same logical fold (the
-// compiled prep_total_fold vs the interpreted add_plus_cz over the
-// doubled register; collapse_pairs vs prep_collapse over the same out
-// array), their chunk decompositions are aligned by construction —
-// both sides chunk the same array at the same boundaries — preserving
-// the compiled ≡ interpreted bit-identity the tests assert.
+// compiled gadget's prep_total_fold vs the interpreted measure's
+// fold_norms over the doubled register add_plus_cz writes;
+// collapse_pairs vs prep_collapse over the same out array), their
+// chunk decompositions are aligned by construction — both sides chunk
+// the same array at the same boundaries — preserving the compiled ≡
+// interpreted bit-identity the tests assert.
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -162,19 +162,6 @@ R prep_total_fold(const CollapseKernelsT<R>& k, const std::complex<R>* x,
   return detail::doubled_total(p.data(), nc);
 }
 
-template <class R>
-R scale_fold(const CollapseKernelsT<R>& k, std::complex<R>* x,
-             std::uint64_t n, R inv, int threads) {
-  if (!chunked(n)) return k.scale_fold(x, n, inv);
-  const std::uint64_t nc = n / kChunkAmps;
-  auto& p = detail::parts<R>();
-  p.resize(nc);
-  parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
-    p[c] = k.scale_fold(x + c * kChunkAmps, kChunkAmps, inv);
-  });
-  return detail::combine(p.data(), nc);
-}
-
 // --- measure_remove ----------------------------------------------------------
 
 /// collapse_pairs over pair-rank chunks.  A chunk of kChunkAmps ranks
@@ -206,7 +193,7 @@ R collapse_pairs(const CollapseKernelsT<R>& k, const std::complex<R>* x,
   return detail::combine(p.data(), nc);
 }
 
-/// Fused measure_remove when the caller has no valid running fold:
+/// The sampled measure_remove, fused:
 /// total = fold_norms(x, 2·pairs) and proj = collapse_pairs(...), with
 /// each source block folded in the same chunk pass that consumes it —
 /// one read of x instead of two.  Chunk partials and combination order
@@ -409,31 +396,40 @@ TeleportFolds<R> teleport_collapse_with_total(
           detail::combine(proj_parts, 2 * nch), swapped};
 }
 
-// --- interpreted-path prep (add_wire_plus_cz) --------------------------------
+// --- exact passes (no folds — any decomposition is bit-identical) ------------
 
-/// add_plus_cz over chunks of the doubled register: the scale pass
-/// chunks the lower half in place, then (barrier) the mirror pass
-/// chunks the upper half via the ranged kernel.  Partials combine in
-/// doubled-array order — bitwise equal to prep_total_fold's chunked
-/// result over the same physical array.
 template <class R>
-R add_plus_cz(const CollapseKernelsT<R>& k, std::complex<R>* x,
-              std::uint64_t old_dim, std::uint64_t pmask, R s, int threads) {
-  if (!chunked(2 * old_dim)) return k.add_plus_cz(x, old_dim, pmask, s);
-  const std::uint64_t nc = old_dim / kChunkAmps;  // chunks per half
-  auto& p = detail::parts<R>();
-  p.resize(2 * nc);
-  parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
-    p[c] = k.scale_fold(x + c * kChunkAmps, kChunkAmps, s);
-  });
-  parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
-    p[nc + c] = k.mirror_cz_range(x, old_dim, c * kChunkAmps,
-                                  (c + 1) * kChunkAmps, pmask);
-  });
-  return detail::combine(p.data(), 2 * nc);
+void scale(const CollapseKernelsT<R>& k, std::complex<R>* x, std::uint64_t n,
+           R inv, int threads) {
+  if (!chunked(n)) {
+    k.scale(x, n, inv);
+    return;
+  }
+  parallel_for_threads(
+      static_cast<std::int64_t>(n / kChunkAmps), threads,
+      [&](auto c) { k.scale(x + c * kChunkAmps, kChunkAmps, inv); });
 }
 
-// --- exact passes (no folds — any decomposition is bit-identical) ------------
+/// The interpreted prep (add_wire_plus_cz): scale x[0..old_dim) by s,
+/// then mirror it into x[old_dim..2·old_dim) with the CZ partner signs
+/// (−1)^parity(i & pmask) — chunk by chunk of the lower half once the
+/// doubled register reaches the cutoff.
+template <class R>
+void add_plus_cz(const CollapseKernelsT<R>& k, std::complex<R>* x,
+                 std::uint64_t old_dim, std::uint64_t pmask, R s,
+                 int threads) {
+  if (!chunked(2 * old_dim)) {
+    k.scale(x, old_dim, s);
+    k.mirror_cz_range(x, old_dim, 0, old_dim, pmask);
+    return;
+  }
+  parallel_for_threads(
+      static_cast<std::int64_t>(old_dim / kChunkAmps), threads, [&](auto c) {
+        const std::uint64_t i0 = c * kChunkAmps;
+        k.scale(x + i0, kChunkAmps, s);
+        k.mirror_cz_range(x, old_dim, i0, i0 + kChunkAmps, pmask);
+      });
+}
 
 template <class R>
 void sign_pass(const CollapseKernelsT<R>& k, std::complex<R>* x,
@@ -503,33 +499,6 @@ void pauli_swap_pass(const CollapseKernelsT<R>& k, std::complex<R>* x,
   parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
     k.pauli_swap_range(x, xmask, zmask, eq_mask, negate, c * kChunkAmps,
                        (c + 1) * kChunkAmps);
-  });
-}
-
-template <class R>
-void phase_pass(const CollapseKernelsT<R>& k, std::complex<R>* x,
-                std::uint64_t n, int q, std::complex<R> e, int threads) {
-  if (!chunked(n) || n / 2 < kChunkAmps) {
-    k.phase_pass(x, n, q, e);
-    return;
-  }
-  const std::uint64_t stride = std::uint64_t{1} << q;
-  const std::uint64_t nc = (n / 2) / kChunkAmps;  // pair-rank chunks
-  parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
-    const std::uint64_t k0 = c * kChunkAmps;
-    if (stride >= kChunkAmps) {
-      // The chunk's i1 targets are one contiguous block starting at
-      // j0 = i0(k0) | stride >= kChunkAmps; phase it as the upper half
-      // of a 2·C register (only indices with the top bit set are read
-      // or written, so the pointer backs up safely).
-      const std::uint64_t j0 = insert_zero_bit(k0, q) | stride;
-      k.phase_pass(x + j0 - kChunkAmps, 2 * kChunkAmps,
-                   std::countr_zero(kChunkAmps), e);
-    } else {
-      // The pattern repeats every 2·stride amps; a rank chunk is the
-      // same pass on a contiguous 2·C slice.
-      k.phase_pass(x + 2 * k0, 2 * kChunkAmps, q, e);
-    }
   });
 }
 

@@ -95,8 +95,6 @@ void DynamicStatevector::reset() {
   for (const int w : order_) pos_[static_cast<std::size_t>(w)] = -1;
   order_.clear();
   peak_live_ = 0;
-  fold_ = 1.0;
-  fold_valid_ = true;
   gain_ = 1.0;
   gain_pending_ = false;
 }
@@ -104,9 +102,8 @@ void DynamicStatevector::reset() {
 template <class R>
 void DynamicStatevector::settle_impl() {
   auto& a = amps<R>();
-  fold_ = static_cast<real>(thr::scale_fold(kernels_t<R>(), a.data(),
-                                            a.size(), static_cast<R>(gain_),
-                                            num_threads()));
+  thr::scale(kernels_t<R>(), a.data(), a.size(), static_cast<R>(gain_),
+             num_threads());
 }
 
 void DynamicStatevector::settle() {
@@ -117,7 +114,6 @@ void DynamicStatevector::settle() {
     settle_impl<float>();
   gain_ = 1.0;
   gain_pending_ = false;
-  fold_valid_ = true;  // scale_fold refreshes the canonical fold
 }
 
 template <class R>
@@ -125,7 +121,6 @@ void DynamicStatevector::defer_gain(R nrm2) {
   gain_ = static_cast<real>(
       static_cast<R>(1.0 / std::sqrt(static_cast<real>(nrm2))));
   gain_pending_ = true;
-  fold_valid_ = false;
 }
 
 int DynamicStatevector::position(int wire) const {
@@ -161,7 +156,6 @@ void DynamicStatevector::add_wire(int wire, bool plus) {
   MBQ_REQUIRE(!has_wire(wire), "wire " << wire << " already live");
   MBQ_REQUIRE(order_.size() < 28, "too many live wires");
   settle();
-  fold_valid_ = false;
   if (prec_ == Precision::F64)
     add_wire_impl<double>(plus);
   else
@@ -203,7 +197,6 @@ void DynamicStatevector::apply_1q_impl(int q, const Matrix& u) {
 void DynamicStatevector::apply_1q(int wire, const Matrix& u) {
   MBQ_REQUIRE(u.rows() == 2 && u.cols() == 2, "apply_1q needs 2x2");
   settle();
-  fold_valid_ = false;
   const int q = position(wire);
   if (prec_ == Precision::F64)
     apply_1q_impl<double>(q, u);
@@ -225,10 +218,8 @@ void DynamicStatevector::apply_x_impl(std::uint64_t xmask) {
 
 void DynamicStatevector::apply_x(int wire) {
   // X is a pure amplitude swap: the swap-pass kernel with no phase
-  // masks.  The swap reorders elements, so the norm fold is invalidated
-  // (per-element norms survive, their fold order does not).
+  // masks.
   settle();
-  fold_valid_ = false;
   const std::uint64_t xmask = std::uint64_t{1} << position(wire);
   if (prec_ == Precision::F64)
     apply_x_impl<double>(xmask);
@@ -245,8 +236,7 @@ void DynamicStatevector::sign_pass_impl(std::uint64_t eq_mask,
 }
 
 void DynamicStatevector::apply_z(int wire) {
-  // Z only negates the bit-set half.  Per-element norms and their order
-  // are untouched, so the fold stays valid.
+  // Z only negates the bit-set half.
   const std::uint64_t stride = std::uint64_t{1} << position(wire);
   settle();
   if (prec_ == Precision::F64)
@@ -255,31 +245,11 @@ void DynamicStatevector::apply_z(int wire) {
     sign_pass_impl<float>(stride, 0, false);
 }
 
-template <class R>
-void DynamicStatevector::apply_rz_impl(int q, cplx e) {
-  auto& a = amps<R>();
-  thr::phase_pass(kernels_t<R>(), a.data(), a.size(), q, to_c<R>(e),
-                  num_threads());
-}
-
-void DynamicStatevector::apply_rz(int wire, real theta) {
-  // Dedicated diagonal-phase kernel: bit-identical amplitudes to
-  // apply_1q(diag(1, e^{iθ})) on the touched half at a third of the
-  // work, and the fold stays usable (see the fold_ contract note).
-  const int q = position(wire);
-  settle();
-  if (prec_ == Precision::F64)
-    apply_rz_impl<double>(q, std::exp(kI * theta));
-  else
-    apply_rz_impl<float>(q, std::exp(kI * theta));
-}
-
 void DynamicStatevector::apply_cz(int wire_a, int wire_b) {
   MBQ_REQUIRE(wire_a != wire_b, "CZ needs two distinct wires");
   const std::uint64_t mask = (std::uint64_t{1} << position(wire_a)) |
                              (std::uint64_t{1} << position(wire_b));
   settle();
-  // Sign flips preserve per-element norms in place: fold stays valid.
   if (prec_ == Precision::F64)
     sign_pass_impl<double>(mask, 0, false);
   else
@@ -329,9 +299,8 @@ void DynamicStatevector::apply_cz_depolarize(int wire_a, int wire_b, real p,
       sign_pass_impl<double>(cz, zmask, false);
     else
       sign_pass_impl<float>(cz, zmask, false);
-    return;  // in-place sign pass: fold stays valid
+    return;
   }
-  fold_valid_ = false;  // swaps reorder the fold
   if (prec_ == Precision::F64)
     pauli_swap_impl<double>(xmask, zmask, cz, false);
   else
@@ -345,10 +314,8 @@ void DynamicStatevector::add_plus_cz_impl(std::uint64_t partner_pos_mask) {
   a.resize(old_dim * 2);
   // The fresh wire takes the TOP bit, so every fused CZ signs only the
   // upper half being written: sign(i) = parity of partner bits in i.
-  // The chunked driver folds both halves under the global contract.
-  fold_ = static_cast<real>(thr::add_plus_cz(
-      kernels_t<R>(), a.data(), old_dim, partner_pos_mask,
-      static_cast<R>(1.0 / std::sqrt(2.0)), num_threads()));
+  thr::add_plus_cz(kernels_t<R>(), a.data(), old_dim, partner_pos_mask,
+                   static_cast<R>(1.0 / std::sqrt(2.0)), num_threads());
 }
 
 void DynamicStatevector::add_wire_plus_cz(int wire,
@@ -360,7 +327,6 @@ void DynamicStatevector::add_wire_plus_cz(int wire,
     add_plus_cz_impl<double>(partner_pos_mask);
   else
     add_plus_cz_impl<float>(partner_pos_mask);
-  fold_valid_ = true;
   set_position(wire, static_cast<int>(order_.size()));
   order_.push_back(wire);
   peak_live_ = std::max(peak_live_, num_live());
@@ -381,7 +347,6 @@ void DynamicStatevector::apply_cz_masks(const std::uint64_t* pair_masks,
     cz_masks_impl<double>(pair_masks, count);
   else
     cz_masks_impl<float>(pair_masks, count);
-  // Pure sign pass: fold validity carries through untouched.
 }
 
 void DynamicStatevector::apply_pauli_masks(std::uint64_t xmask,
@@ -393,9 +358,8 @@ void DynamicStatevector::apply_pauli_masks(std::uint64_t xmask,
       sign_pass_impl<double>(0, zmask, negate);
     else
       sign_pass_impl<float>(0, zmask, negate);
-    return;  // in-place sign pass: fold stays valid
+    return;
   }
-  fold_valid_ = false;
   if (prec_ == Precision::F64)
     pauli_swap_impl<double>(xmask, zmask, 0, negate);
   else
@@ -599,32 +563,17 @@ int DynamicStatevector::measure_remove_impl(int q, const Matrix& basis,
 
   // Collapsed projections land in scratch, which then SWAPS with amps:
   // the two buffers ping-pong across calls, so a reused simulator never
-  // reallocates.  The sampled path fuses the outcome-1 probability fold
-  // into its collapse pass; when the running fold is stale it fuses the
-  // denominator fold in as well (collapse_pairs_with_total), reading
-  // each source block once.  Every fold is canonical, keeping outcomes
-  // and amplitudes bit-identical across ISAs, thread counts and the
-  // fold-reuse fast path.
+  // reallocates.  The sampled path folds the Born denominator and the
+  // outcome-1 projection in one collapse pass, reading each source
+  // block once.  Every fold is canonical, keeping outcomes and
+  // amplitudes bit-identical across ISAs and thread counts.
   int outcome;
   R nrm2 = R(0);
   if (forced == -1) {
-    real total;
-    R p1;
-    if (fold_valid_) {
-      // A valid fold (maintained under the global chunk contract) is
-      // bitwise the same sum a fresh driver pass computes.
-      total = fold_;
-      p1 = thr::collapse_pairs(kn, a.data(), sc.data(), pairs, q,
-                               to_c<R>(std::conj(basis(0, 1))),
-                               to_c<R>(std::conj(basis(1, 1))), threads);
-    } else {
-      const auto f = thr::collapse_pairs_with_total(
-          kn, a.data(), sc.data(), pairs, q, to_c<R>(std::conj(basis(0, 1))),
-          to_c<R>(std::conj(basis(1, 1))), threads);
-      total = static_cast<real>(f.total);
-      p1 = f.proj;
-    }
-    total = std::norm(std::sqrt(total));
+    const auto [sum, p1] = thr::collapse_pairs_with_total(
+        kn, a.data(), sc.data(), pairs, q, to_c<R>(std::conj(basis(0, 1))),
+        to_c<R>(std::conj(basis(1, 1))), threads);
+    const real total = std::norm(std::sqrt(static_cast<real>(sum)));
     MBQ_REQUIRE(total > kMinBornNorm2, "zero state");
     outcome = rng.bernoulli(static_cast<real>(p1) / total) ? 1 : 0;
     nrm2 = p1;  // outcome 1: the projections are already in scratch
@@ -639,11 +588,9 @@ int DynamicStatevector::measure_remove_impl(int q, const Matrix& basis,
   MBQ_REQUIRE(static_cast<real>(nrm2) > kMinProjectionNorm2,
               "forced outcome " << outcome << " on wire " << wire
                                 << " has zero probability");
-  fold_ = static_cast<real>(thr::scale_fold(
-      kn, sc.data(), pairs,
-      static_cast<R>(1.0 / std::sqrt(static_cast<real>(nrm2))), threads));
+  thr::scale(kn, sc.data(), pairs,
+             static_cast<R>(1.0 / std::sqrt(static_cast<real>(nrm2))), threads);
   std::swap(a, sc);
-  fold_valid_ = true;
   return outcome;
 }
 
@@ -800,10 +747,8 @@ void DynamicStatevector::normalize_impl() {
   // named constants exist to prevent).
   MBQ_REQUIRE(static_cast<real>(nrm2) > kMinBornNorm2,
               "cannot normalize a zero state");
-  fold_ = static_cast<real>(thr::scale_fold(
-      kn, a.data(), a.size(),
-      static_cast<R>(1.0 / std::sqrt(static_cast<real>(nrm2))), threads));
-  fold_valid_ = true;  // scale_fold refreshes the canonical fold
+  thr::scale(kn, a.data(), a.size(),
+             static_cast<R>(1.0 / std::sqrt(static_cast<real>(nrm2))), threads);
 }
 
 void DynamicStatevector::normalize() {

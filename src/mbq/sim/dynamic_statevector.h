@@ -84,7 +84,7 @@ class DynamicStatevector {
   /// Minimum SQUARED state norm |ψ|² accepted as a Born-rule denominator
   /// (and by normalize()) — dividing probabilities by anything smaller
   /// amplifies noise past any usable precision.  Note the unit: this
-  /// guards Σ|amp|² directly, the quantity the fold tracks.
+  /// guards Σ|amp|² directly, the quantity the norm folds compute.
   static constexpr real kMinBornNorm2 = 1e-14;
 
   /// Minimum SQUARED norm |Πψ|² of a post-measurement projection —
@@ -134,12 +134,6 @@ class DynamicStatevector {
   void apply_h(int wire);
   void apply_x(int wire);
   void apply_z(int wire);
-  /// Dedicated diagonal-phase kernel: diag(1, e^{iθ}) touches only the
-  /// bit-set half and preserves every per-element norm, so — like
-  /// apply_z — it keeps the norm fold usable (see fold_ below for the
-  /// documented ulp-level caveat).  Bit-identical amplitudes to routing
-  /// the same matrix through apply_1q.
-  void apply_rz(int wire, real theta);
   void apply_cz(int wire_a, int wire_b);
 
   /// CZ followed by the entangler noise channel: each touched wire
@@ -158,11 +152,9 @@ class DynamicStatevector {
   // Each replaces a sequence of the primitive operations above with one
   // amplitude pass, producing bit-identical amplitudes and outcome
   // streams (everything they fuse is a scale, a sign flip, an index swap
-  // or a sum evaluated in the canonical kernel order).  add_wire_plus_cz
-  // maintains the running norm fold (see fold_ below), which lets the
-  // next sampled measurement skip its full normalization pass.  The two
-  // fused measures leave their collapsed state unnormalized instead, with
-  // the renormalization gain pending (see gain_ below): a chain of them
+  // or a sum evaluated in the canonical kernel order).  The two fused
+  // measures leave their collapsed state unnormalized, with the
+  // renormalization gain pending (see gain_ below): a chain of them
   // never runs a scale pass of its own.
 
   /// add_wire(wire, plus=true) immediately followed by a CZ against
@@ -266,20 +258,14 @@ class DynamicStatevector {
   real norm() const;
   void normalize();
 
-  /// The running norm fold and its validity — introspection for the
-  /// scalar-vs-SIMD differential tests, which assert fold values
-  /// bit-identical across ISAs.  Invalid while a gain is pending.
-  real norm_fold() const noexcept { return fold_; }
-  bool norm_fold_valid() const noexcept { return fold_valid_; }
-
  private:
   int position(int wire) const;
   void set_position(int wire, int p);
 
-  /// Apply a pending gain in place: one scale_fold pass, which also
-  /// leaves the fold an eager renormalization would have left.  A no-op
-  /// when none is pending.  Every mutator except the two fused measures
-  /// calls it first.
+  /// Apply a pending gain in place: one scale pass, leaving the values
+  /// an eager renormalization would have left.  A no-op when none is
+  /// pending.  Every mutator except the two fused measures calls it
+  /// first.
   void settle();
   /// Record R(1/√nrm2) as the pending gain of the state a fused
   /// measure just collapsed.
@@ -326,8 +312,6 @@ class DynamicStatevector {
   void sign_pass_impl(std::uint64_t eq_mask, std::uint64_t par_mask,
                       bool negate);
   template <class R>
-  void apply_rz_impl(int q, cplx e);
-  template <class R>
   void pauli_swap_impl(std::uint64_t xmask, std::uint64_t zmask,
                        std::uint64_t eq_mask, bool negate);
   template <class R>
@@ -370,21 +354,6 @@ class DynamicStatevector {
   // churn was the last steady-state allocation in the shot loop.
   std::vector<std::int32_t> pos_;
   int peak_live_ = 0;
-
-  // Running Σ|amp|² in the kernels' canonical fold order — bitwise equal
-  // to what a fresh kernels().fold_norms pass would compute, which is
-  // the ONLY reason a sampled measurement may reuse it (Born
-  // probabilities stay bit-identical).  Maintained by add_wire_plus_cz,
-  // measure_remove, normalize and settle(); sign passes (Z, CZ, Pauli-Z)
-  // keep it valid untouched.  apply_rz also keeps it usable: the phase
-  // preserves every |amp|² mathematically but re-rounds the squares, so
-  // after an rz the fold is within an ulp of (not bitwise equal to) a
-  // fresh pass — acceptable because no cross-path comparison ever runs
-  // through apply_rz (pattern execution lowers rotations into
-  // measurement angles).  A pending gain and everything else invalidate
-  // it; settle() makes it valid again.
-  real fold_ = 1.0;
-  bool fold_valid_ = true;
 
   // The deferred renormalization of the last fused measure: the stored
   // amplitudes are the raw projections y, and the state is y·g with

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "alloc_counter.h"
@@ -16,8 +18,10 @@
 #include "mbq/common/rng.h"
 #include "mbq/core/compiler.h"
 #include "mbq/graph/generators.h"
+#include "mbq/linalg/unitaries.h"
 #include "mbq/mbqc/compiled.h"
 #include "mbq/mbqc/runner.h"
+#include "mbq/mbqc/standardize.h"
 #include "mbq/qaoa/qaoa.h"
 
 // This binary links alloc_counter.cpp, whose global operator new counts
@@ -43,6 +47,21 @@ Pattern j_pattern(real alpha) {
   p.add_correct_x(1, SignalExpr(m));
   p.set_outputs({1});
   return p;
+}
+
+/// The standard form (N* E* M* C*) of a p = 1 QAOA pattern on a 4-path:
+/// 15 preps and a run of CZs build a chunked 2^15-amplitude register,
+/// then 11 measure_remove calls follow back to back.
+Pattern standardized_path4() {
+  Rng rng(13);
+  const qaoa::Angles a = qaoa::Angles::random(1, rng);
+  const auto cost = qaoa::CostHamiltonian::maxcut(path_graph(4));
+  return standardize(core::compile_qaoa(cost, a).pattern);
+}
+
+bool same_bits(const std::vector<cplx>& a, const std::vector<cplx>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
 }
 
 Pattern zz_gadget(real theta) {
@@ -143,6 +162,36 @@ TEST(CompiledPattern, SampledStreamsBitIdenticalToInterpreter) {
       ASSERT_EQ(want.output_state, got.output_state)
           << "seed " << seed << " rep " << rep;
       EXPECT_EQ(want.peak_live, got.peak_live);
+    }
+  }
+
+  // Back-to-back measurements from a chunked register, at 1–3 kernel
+  // threads.
+  struct ThreadGuard {
+    int saved = num_threads();
+    ~ThreadGuard() { set_num_threads(saved); }
+  } guard;
+  const Pattern standard = standardized_path4();
+  const auto compiled = std::make_shared<const CompiledPattern>(standard);
+  ASSERT_EQ(compiled->num_slots(), 15);
+  ASSERT_EQ(compiled->num_measurements(), 11);
+  for (const int threads : {1, 2, 3}) {
+    set_num_threads(threads);
+    for (const std::uint64_t seed : {0ULL, 1ULL}) {
+      Rng interpreted_rng(seed);
+      Rng compiled_rng(seed);
+      PatternExecutor executor(compiled);
+      for (int rep = 0; rep < 4; ++rep) {
+        const std::string where = "standard form, threads " +
+                                  std::to_string(threads) + " seed " +
+                                  std::to_string(seed) + " rep " +
+                                  std::to_string(rep);
+        const RunResult want = run_interpreted(standard, interpreted_rng);
+        const RunResult got = executor.run(compiled_rng);
+        ASSERT_EQ(want.peak_live, 15) << where;
+        ASSERT_EQ(want.outcomes, got.outcomes) << where;
+        ASSERT_TRUE(same_bits(want.output_state, got.output_state)) << where;
+      }
     }
   }
 }
@@ -426,9 +475,10 @@ TEST(CompiledPattern, ChunkedThreadedSweepsAllocateNothingInSteadyState) {
   DynamicStatevector dsv;
   for (int w = 0; w < 15; ++w) dsv.add_wire(w);
   const std::uint64_t masks[2] = {0b11, (std::uint64_t{1} << 14) | 0b100};
+  const Matrix phase = gates::rz(0.37);
   auto sweep = [&] {
     dsv.apply_cz_masks(masks, 2);
-    dsv.apply_rz(4, 0.37);
+    dsv.apply_1q(4, phase);
     dsv.apply_pauli_masks(std::uint64_t{1} << 3, std::uint64_t{1} << 9,
                           false);
     dsv.normalize();  // full chunked fold + scale

@@ -59,7 +59,7 @@ TEST(DynamicSv, MatchesFixedSimulatorOnRandomCircuit) {
         break;
       case 1: {
         const real t = rng.angle();
-        dsv.apply_rz(q, t);
+        dsv.apply_1q(q, gates::rz(t));
         sv.apply_rz(q, t);
         break;
       }
@@ -130,7 +130,7 @@ TEST(DynamicSv, JGadgetTeleportation) {
     // Input |psi> = rz(0.4) H |0> on wire 0.
     DynamicStatevector dsv;
     dsv.add_wire(0, true);
-    dsv.apply_rz(0, 0.4);
+    dsv.apply_1q(0, gates::rz(0.4));
     dsv.add_wire(1, true);
     dsv.apply_cz(0, 1);
     const int m = dsv.measure_remove(
@@ -154,7 +154,7 @@ TEST(DynamicSv, YZGadgetPhase) {
     const real theta = 1.1;
     DynamicStatevector dsv;
     dsv.add_wire(0, true);  // input |+>
-    dsv.apply_rz(0, 0.9);   // arbitrary input state
+    dsv.apply_1q(0, gates::rz(0.9));  // arbitrary input state
     dsv.add_wire(5, true);  // ancilla
     dsv.apply_cz(0, 5);
     const int m = dsv.measure_remove(
@@ -198,38 +198,6 @@ TEST(DynamicSv, StateInOrderPermutes) {
   EXPECT_THROW(dsv.state_in_order({7}), Error);
 }
 
-TEST(DynamicSv, RzKernelBitIdenticalToApply1q) {
-  // The dedicated diagonal-phase kernel must produce numerically
-  // identical amplitudes to routing diag(1, e^{i t}) through the generic
-  // 1q path (== comparison: exact values, tolerant of zero signs — the
-  // generic path's 0·a cross terms may flip a zero's sign), while
-  // keeping the norm fold usable where apply_1q must invalidate it.
-  for (real theta : {0.37, -1.9, 3.14159, 0.0}) {
-    DynamicStatevector a, b;
-    for (DynamicStatevector* d : {&a, &b}) {
-      d->add_wire(0);
-      d->add_wire(1, false);
-      d->add_wire(2);
-      d->apply_h(1);
-      d->apply_cz(0, 2);
-      d->apply_rz(0, 0.6);
-      d->normalize();  // establishes a valid running fold
-    }
-    ASSERT_TRUE(a.norm_fold_valid());
-    a.apply_rz(1, theta);
-    b.apply_1q(1, Matrix(2, 2, {1, 0, 0, std::exp(cplx{0.0, theta})}));
-    EXPECT_TRUE(a.norm_fold_valid());
-    EXPECT_FALSE(b.norm_fold_valid());
-    const auto wa = a.state_in_order({0, 1, 2});
-    const auto wb = b.state_in_order({0, 1, 2});
-    ASSERT_EQ(wa.size(), wb.size());
-    for (std::size_t i = 0; i < wa.size(); ++i) {
-      ASSERT_EQ(wa[i].real(), wb[i].real()) << "theta " << theta << " i " << i;
-      ASSERT_EQ(wa[i].imag(), wb[i].imag()) << "theta " << theta << " i " << i;
-    }
-  }
-}
-
 TEST(DynamicSv, ZeroStateThresholdConstantsArePinned) {
   // The three guards have distinct units and deliberately distinct
   // scales; pin them so a refactor can't silently collapse them back
@@ -253,12 +221,11 @@ TEST(DynamicSv, AddWireStateNormBoundary) {
 
 TEST(DynamicSv, NormalizeBornNormBoundary) {
   // normalize() gates on the SQUARED norm: |psi|^2 = 4e-14 > kMinBornNorm2
-  // passes (and leaves a valid fold), 2.5e-15 < kMinBornNorm2 throws.
+  // passes, 2.5e-15 < kMinBornNorm2 throws.
   DynamicStatevector ok;
   ok.add_wire(0, false);
   ok.apply_1q(0, Matrix(2, 2, {2e-7, 0, 0, 0}));
   ok.normalize();
-  EXPECT_TRUE(ok.norm_fold_valid());
   EXPECT_NEAR(ok.norm(), 1.0, kTol);
 
   DynamicStatevector bad;
@@ -290,8 +257,8 @@ TEST(DynamicSv, ProjectionNormBoundary) {
 // A fused measure leaves its collapsed state unnormalized with the gain
 // pending.  Every reader must see, and every mutator must start from,
 // exactly the register the primitive chain (add_wire, apply_cz...,
-// measure_remove) leaves: amplitudes, outcomes and the norm fold bit for
-// bit, at both precisions, sampled and forced, below and above the chunk
+// measure_remove) leaves: amplitudes, outcomes and the norm bit for bit,
+// at both precisions, sampled and forced, below and above the chunk
 // cutoff.
 
 bool same_bits(real a, real b) { return std::memcmp(&a, &b, sizeof a) == 0; }
@@ -301,14 +268,13 @@ bool same_bits(const std::vector<cplx>& a, const std::vector<cplx>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
 }
 
-/// Amplitudes, live layout and the norm fold (value and validity).
+/// Amplitudes, live layout and the norm.
 void expect_same_register(const DynamicStatevector& fused,
                           const DynamicStatevector& chain) {
   ASSERT_EQ(fused.wire_order(), chain.wire_order());
   EXPECT_TRUE(same_bits(fused.state_in_order(fused.wire_order()),
                         chain.state_in_order(chain.wire_order())));
-  EXPECT_EQ(fused.norm_fold_valid(), chain.norm_fold_valid());
-  EXPECT_TRUE(same_bits(fused.norm_fold(), chain.norm_fold()));
+  EXPECT_TRUE(same_bits(fused.norm(), chain.norm()));
 }
 
 /// Every public reader on the registers as they stand, then every
@@ -318,7 +284,6 @@ void expect_same_after_every_call(const DynamicStatevector& fused,
                                   std::uint64_t seed) {
   const std::vector<int> wires = chain.wire_order();
   ASSERT_EQ(fused.wire_order(), wires);
-  EXPECT_FALSE(fused.norm_fold_valid()) << "no gain pending";
   EXPECT_TRUE(same_bits(fused.state_in_order(wires),
                         chain.state_in_order(wires)));
   for (const real u : {0.13, 0.5, 0.97})
@@ -386,7 +351,7 @@ DynamicStatevector chain_register(Precision prec, int n, real phase = 0.7) {
     d.add_wire_state(w, std::cos(t), std::sin(t));
   }
   for (int w = 0; w + 1 < n; ++w) d.apply_cz(w, w + 1);
-  d.apply_rz(2, phase);
+  d.apply_1q(2, gates::rz(phase));
   d.normalize();
   return d;
 }
@@ -447,9 +412,8 @@ const char* shape_name(OpShape shape) {
   }
 }
 
-/// After one op on each: the same register, the same next draw, and —
-/// once a CZ run settles the fused register's pending gain — the same
-/// norm fold.
+/// After one op on each: the same register and the same next draw, also
+/// once a CZ run settles the fused register's pending gain.
 void expect_same_after_op(DynamicStatevector& fused, DynamicStatevector& chain,
                           Rng& rf, Rng& rc) {
   EXPECT_EQ(rf.next(), rc.next());

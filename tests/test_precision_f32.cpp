@@ -24,7 +24,9 @@
 #include "mbq/common/rng.h"
 #include "mbq/core/compiler.h"
 #include "mbq/graph/generators.h"
+#include "mbq/linalg/unitaries.h"
 #include "mbq/mbqc/runner.h"
+#include "mbq/mbqc/standardize.h"
 #include "mbq/qaoa/qaoa.h"
 #include "mbq/sim/collapse_kernels.h"
 #include "mbq/sim/dynamic_statevector.h"
@@ -96,7 +98,7 @@ TEST(PrecisionF32, EveryHostFlavorHasAVerifiedF32Table) {
 struct ScriptResult {
   std::vector<int> outcomes;
   std::vector<cplx> amps;
-  double fold;
+  double norm;
 };
 
 ScriptResult run_script(Precision p, SimdIsa isa, int threads,
@@ -109,7 +111,7 @@ ScriptResult run_script(Precision p, SimdIsa isa, int threads,
   for (int w = 0; w < wires; ++w) dsv.add_wire(w);
   const std::uint64_t cz_masks[2] = {0b11, 0b1100};
   dsv.apply_cz_masks(cz_masks, 2);
-  dsv.apply_rz(1, 0.37);
+  dsv.apply_1q(1, gates::rz(0.37));
   dsv.apply_pauli_masks(0b0010, 0b0100, true);
   ScriptResult r;
   r.outcomes.push_back(dsv.prep_cz_measure(
@@ -121,7 +123,7 @@ ScriptResult run_script(Precision p, SimdIsa isa, int threads,
       dsv.measure_remove(2, measurement_basis(MeasBasis::X, 0.0), rng));
   dsv.normalize();
   r.amps = dsv.state_in_order(dsv.wire_order());
-  r.fold = dsv.norm_fold();
+  r.norm = dsv.norm();
   return r;
 }
 
@@ -142,7 +144,7 @@ TEST(PrecisionF32, StatevectorBitIdenticalAcrossIsasAndThreads) {
                      " wires=" + std::to_string(wires));
         EXPECT_EQ(want.outcomes, got.outcomes);
         EXPECT_TRUE(buffers_bit_equal(want.amps, got.amps));
-        EXPECT_PRED2(same_bits, want.fold, got.fold);
+        EXPECT_PRED2(same_bits, want.norm, got.norm);
       }
     }
   }
@@ -192,6 +194,25 @@ TEST(PrecisionF32, CompiledMatchesInterpretedOnF32) {
   EXPECT_EQ(compiled.outcomes, interpreted.outcomes);
   EXPECT_TRUE(
       buffers_bit_equal(compiled.output_state, interpreted.output_state));
+
+  // Sampled, the standard form of a p = 1 pattern on a 4-path: 15 preps
+  // build a chunked 2^15-amplitude register that 11 back-to-back
+  // measurements then shrink.
+  const mbqc::Pattern standard = mbqc::standardize(
+      core::compile_qaoa(qaoa::CostHamiltonian::maxcut(path_graph(4)),
+                         qaoa::Angles::random(1, setup))
+          .pattern);
+  mbqc::RunOptions sampled;
+  sampled.precision = Precision::F32;
+  Rng sa(5), sb(5);
+  for (int shot = 0; shot < 8; ++shot) {
+    const mbqc::RunResult c = mbqc::run(standard, sa, sampled);
+    const mbqc::RunResult i = mbqc::run_interpreted(standard, sb, sampled);
+    ASSERT_EQ(c.peak_live, 15) << "shot " << shot;
+    EXPECT_EQ(c.outcomes, i.outcomes) << "shot " << shot;
+    EXPECT_TRUE(buffers_bit_equal(c.output_state, i.output_state))
+        << "shot " << shot;
+  }
 }
 
 // --- the precision field on the spec -----------------------------------

@@ -239,6 +239,37 @@ TEST_F(ServeDaemonTest, RepeatedFingerprintIsAWarmHit) {
   daemon.stop();
 }
 
+TEST_F(ServeDaemonTest, WarmHitsForgetWhatTheWorkersEvicted) {
+  // One worker keeps the last shard::kPrepCacheCapacity points, and so
+  // does the daemon's record of what it served: after capacity + 1
+  // distinct points the first one is cold again and the last still warm.
+  const std::string sock = unix_socket_path("warm-bound");
+  Daemon daemon(daemon_options({"unix:" + sock}, 1));
+  daemon.start();
+
+  shard::Request req;
+  req.kind = shard::TaskKind::kSample;
+  req.backend = "mbqc";
+  req.seed = 3;
+  req.workload = Workload::maxcut(cycle_graph(4));
+  req.shots = 1;
+  req.end = 1;
+  const auto point = [](std::size_t i) {
+    return Angles({0.01 * static_cast<real>(i + 1)}, {0.3});
+  };
+  DaemonClient client("unix:" + sock, "warm-bound-test");
+  const std::size_t points = shard::kPrepCacheCapacity + 1;
+  for (std::size_t i = 0; i < points; ++i) {
+    req.points = {point(i)};
+    ASSERT_FALSE(client.run(req).warm_hit) << "point " << i;
+  }
+  req.points = {point(0)};
+  EXPECT_FALSE(client.run(req).warm_hit) << "the first point was evicted";
+  req.points = {point(points - 1)};
+  EXPECT_TRUE(client.run(req).warm_hit) << "the last point is still held";
+  daemon.stop();
+}
+
 // --- backpressure and protocol rejection -------------------------------
 
 TEST_F(ServeDaemonTest, OverloadedConnectionGetsBusyNotAHang) {

@@ -337,7 +337,7 @@ TEST(ShardTask, FramesWithOneSpecShareOneCostTable) {
                 std::bit_cast<std::uint64_t>(want[i]))
           << i;
     table = shard::warm_workload(decoded.workload,
-                                 api::spec_fingerprint(decoded.workload.spec()))
+                                 shard::spec_key(decoded.workload.spec()))
                 .cost_table();
   }
   EXPECT_EQ(tables[0], tables[1]);
@@ -346,11 +346,18 @@ TEST(ShardTask, FramesWithOneSpecShareOneCostTable) {
 }
 
 TEST(ShardTask, WarmWorkloadCacheComparesCostsAndBoundsBytes) {
-  // One fingerprint for two cost functions, as a collision would give:
-  // the second must get its own table, never the first one's.
+  // One fingerprint for every spec, as a collision would give: each spec
+  // must get back its own workload, never a cached one that merely
+  // shares the fingerprint.
+  const auto warm = [](const Workload& w, std::uint64_t fingerprint) {
+    shard::SpecKey key = shard::spec_key(w.spec());
+    EXPECT_EQ(key.fingerprint, api::spec_fingerprint(w.spec()));
+    key.fingerprint = fingerprint;
+    return shard::warm_workload(w, key);
+  };
   const std::uint64_t key = 0x5EEDu;
   const auto table_of = [&](const Workload& w) {
-    return shard::warm_workload(w, key).cost_table();
+    return warm(w, key).cost_table();
   };
   const auto ring = table_of(Workload::maxcut(cycle_graph(8)));
   EXPECT_EQ(table_of(Workload::maxcut(cycle_graph(8))), ring);
@@ -359,11 +366,20 @@ TEST(ShardTask, WarmWorkloadCacheComparesCostsAndBoundsBytes) {
   EXPECT_NE(other, ring);
   EXPECT_EQ(*other, star.cost().cost_table());
 
+  // The ring's cost under other settings: the colliding spec runs with
+  // its own noise and precision, not the cached ring's.
+  Workload noisy = Workload::maxcut(cycle_graph(8));
+  noisy.with_entangler_noise(0.01);
+  EXPECT_EQ(warm(noisy, key).entangler_noise(), 0.01);
+  Workload narrow = Workload::maxcut(cycle_graph(8));
+  narrow.with_precision(Precision::F32);
+  EXPECT_EQ(warm(narrow, key).precision(), Precision::F32);
+
   // A 2^22-entry table fills the budget alone: keeping it evicts the
   // ring, which comes back with a fresh table.  Tables are charged
   // before they are built, so the big one never is.
   ASSERT_EQ(std::uint64_t{sizeof(real)} << 22, shard::kWarmTableBytes);
-  shard::warm_workload(Workload::maxcut(cycle_graph(22)), 0xB16u);
+  warm(Workload::maxcut(cycle_graph(22)), 0xB16u);
   const auto again = table_of(Workload::maxcut(cycle_graph(8)));
   EXPECT_NE(again, ring);
   EXPECT_EQ(*again, *ring);
@@ -371,7 +387,7 @@ TEST(ShardTask, WarmWorkloadCacheComparesCostsAndBoundsBytes) {
   // A table larger than the budget is not kept, and evicts nothing, up
   // to the largest register a spec allows.
   for (const int n : {23, 63}) {
-    shard::warm_workload(Workload::maxcut(cycle_graph(n)), 0xB17u);
+    warm(Workload::maxcut(cycle_graph(n)), 0xB17u);
     EXPECT_EQ(table_of(Workload::maxcut(cycle_graph(8))), again) << n;
   }
 }

@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD collapse kernels: randomized scalar-vs-vector
 // bitwise differentials on every table entry, end-to-end bit-identity of
-// amplitudes / outcome streams / norm folds across every ISA this host
-// can run (with a forced-scalar leg that exists on every host), and the
+// amplitudes / outcome streams / norms across every ISA this host can
+// run (with a forced-scalar leg that exists on every host), and the
 // MBQ_SIMD parse / reject-at-dispatch behavior.
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "mbq/common/rng.h"
 #include "mbq/core/compiler.h"
 #include "mbq/graph/generators.h"
+#include "mbq/linalg/unitaries.h"
 #include "mbq/mbqc/compiled.h"
 #include "mbq/qaoa/qaoa.h"
 #include "mbq/sim/collapse_kernels.h"
@@ -143,8 +144,8 @@ TEST(SimdKernels, RandomizedKernelsMatchScalarBitwise) {
                    k.prep_total_fold(x.data(), n, g, sc));
 
       auto a = x, b = x;
-      EXPECT_PRED2(same_fold, s.scale_fold(a.data(), n, sc),
-                   k.scale_fold(b.data(), n, sc));
+      s.scale(a.data(), n, sc);
+      k.scale(b.data(), n, sc);
       EXPECT_TRUE(buffers_bit_equal(a, b));
     }
     // Structured kernels want power-of-two registers, like the simulator.
@@ -177,13 +178,6 @@ TEST(SimdKernels, RandomizedKernelsMatchScalarBitwise) {
       k.teleport_collapse(x.data(), ob.data(), dim, q, pmask, e0, e1, g, sc);
       EXPECT_TRUE(buffers_bit_equal(oa, ob));
 
-      auto ga = x, gb = x;
-      ga.resize(2 * dim);
-      gb.resize(2 * dim);
-      EXPECT_PRED2(same_fold, s.add_plus_cz(ga.data(), dim, pmask, sc),
-                   k.add_plus_cz(gb.data(), dim, pmask, sc));
-      EXPECT_TRUE(buffers_bit_equal(ga, gb));
-
       const std::uint64_t eq = rng.uniform_index(dim);
       const std::uint64_t par = rng.uniform_index(dim);
       const bool neg = rng.uniform_index(2) != 0;
@@ -207,26 +201,18 @@ TEST(SimdKernels, RandomizedKernelsMatchScalarBitwise) {
       s.cz_masks_pass(pa.data(), dim, masks, count);
       k.cz_masks_pass(pb.data(), dim, masks, count);
       EXPECT_TRUE(buffers_bit_equal(pa, pb));
-
-      const cplx e = std::exp(cplx{0.0, 1.0} * (rng.uniform() * 6.0 - 3.0));
-      pa = x;
-      pb = x;
-      s.phase_pass(pa.data(), dim, q, e);
-      k.phase_pass(pb.data(), dim, q, e);
-      EXPECT_TRUE(buffers_bit_equal(pa, pb));
     }
   }
 }
 
 // A scripted DynamicStatevector run — primitive gates, every fused
 // kernel, sampled and removed measurements — executed once per ISA with
-// identical seeds.  Amplitudes, outcome streams, the running fold value
-// AND its validity flag must match the scalar leg bit-for-bit.
+// identical seeds.  Amplitudes, outcome streams and the norm must match
+// the scalar leg bit-for-bit.
 struct ScriptResult {
   std::vector<int> outcomes;
   std::vector<cplx> amps;
-  double fold;
-  bool fold_valid;
+  double norm;
 };
 
 ScriptResult run_script(SimdIsa isa, std::uint64_t seed) {
@@ -237,7 +223,7 @@ ScriptResult run_script(SimdIsa isa, std::uint64_t seed) {
   dsv.add_wire(1, /*plus=*/false);
   dsv.add_wire(2);
   dsv.apply_h(1);
-  dsv.apply_rz(1, 0.37);
+  dsv.apply_1q(1, gates::rz(0.37));
   dsv.apply_cz(0, 2);
   dsv.add_wire_plus_cz(3, 0b101);  // CZ against positions 0 and 2
   const std::uint64_t cz_masks[2] = {0b0011, 0b1100};
@@ -252,8 +238,7 @@ ScriptResult run_script(SimdIsa isa, std::uint64_t seed) {
       dsv.measure_remove(2, measurement_basis(MeasBasis::X, 0.0), rng));
   dsv.normalize();
   r.amps = dsv.state_in_order(dsv.wire_order());
-  r.fold = dsv.norm_fold();
-  r.fold_valid = dsv.norm_fold_valid();
+  r.norm = dsv.norm();
   return r;
 }
 
@@ -261,15 +246,13 @@ TEST(SimdKernels, StatevectorScriptBitIdenticalAcrossIsas) {
   IsaGuard guard;
   for (std::uint64_t seed : {11u, 12u, 13u, 14u}) {
     const ScriptResult want = run_script(SimdIsa::Scalar, seed);
-    EXPECT_TRUE(want.fold_valid);
     for (SimdIsa isa : supported_simd_isas()) {
       const ScriptResult got = run_script(isa, seed);
       SCOPED_TRACE(std::string("isa=") + isa_name(isa) +
                    " seed=" + std::to_string(seed));
       EXPECT_EQ(want.outcomes, got.outcomes);
       EXPECT_TRUE(buffers_bit_equal(want.amps, got.amps));
-      EXPECT_PRED2(same_fold, want.fold, got.fold);
-      EXPECT_EQ(want.fold_valid, got.fold_valid);
+      EXPECT_EQ(bits(want.norm), bits(got.norm));
     }
   }
 }
@@ -437,16 +420,15 @@ TEST(SimdKernels, RandomizedRangedKernelsMatchScalarBitwise) {
                                 e1, g, sc, mid, ranks, &f2, &f3);
       EXPECT_TRUE(buffers_bit_equal(full, sliced));
 
-      // mirror_cz_range (upper half of add_plus_cz, lower half already
-      // scaled by the caller).
+      // mirror_cz_range (the upper half of add_wire_plus_cz, the lower
+      // half already scaled by the caller).
       auto ga = random_amps(rng, 2 * dim);
       auto gb = ga;
       const std::uint64_t i0 = rng.uniform_index(dim);
       const std::uint64_t i1 = i0 + 1 + rng.uniform_index(dim - i0);
       const std::uint64_t gmask = rng.uniform_index(dim);
-      EXPECT_PRED2(same_fold,
-                   s.mirror_cz_range(ga.data(), dim, i0, i1, gmask),
-                   k.mirror_cz_range(gb.data(), dim, i0, i1, gmask));
+      s.mirror_cz_range(ga.data(), dim, i0, i1, gmask);
+      k.mirror_cz_range(gb.data(), dim, i0, i1, gmask);
       EXPECT_TRUE(buffers_bit_equal(ga, gb));
 
       // pauli_swap_range over pair ranks of the top xmask bit.
@@ -478,9 +460,9 @@ TEST(SimdKernels, RandomizedRangedKernelsMatchScalarBitwise) {
 // single-threaded leg.  The fused *_with_total drivers also run at half
 // and twice the cutoff, and their totals must equal the unfused folds.
 // Of the drivers that read a pending gain, prep_total_fold runs with
-// g = 1 and a random g, the gadget with the random g (the interpreted
-// prep over the settled register x·g must fold to the same total) and
-// the teleport alternating the two.  This is the thread sweep the
+// g = 1 and a random g, the gadget with the random g (the register the
+// interpreted prep writes from the settled x·g must fold to the same total)
+// and the teleport alternating the two.  This is the thread sweep the
 // dispatch-time driver battery, which runs on one thread, leaves out.
 TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
   // The budget caps every team: raise it so t = 8 really runs 8 threads.
@@ -513,7 +495,7 @@ TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
     }
 
     auto sca = x2;
-    r.folds.push_back(thr::scale_fold(k, sca.data(), 2 * dim, sc, t));
+    thr::scale(k, sca.data(), 2 * dim, sc, t);
     r.amps.insert(r.amps.end(), sca.begin(), sca.end());
 
     // Every size the cutoff splits; at half of it only the doubled
@@ -535,14 +517,14 @@ TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
       const auto fp = thr::prep_collapse_with_total(
           k, x.data(), out.data(), d, pmask, e0, e1, gains[1], sc, t);
       std::vector<cplx> gad(x.begin(), x.begin() + 2 * d);
-      thr::scale_fold(k, gad.data(), d, gains[1], t);  // settle the gain
-      const double ga = thr::add_plus_cz(k, gad.data(), d, pmask, sc, t);
+      thr::scale(k, gad.data(), d, gains[1], t);  // settle the gain
+      thr::add_plus_cz(k, gad.data(), d, pmask, sc, t);
       EXPECT_PRED2(same_fold, fp.total,
                    thr::prep_total_fold(k, x.data(), d, gains[1], sc, t));
-      EXPECT_PRED2(same_fold, fp.total, ga);
+      EXPECT_PRED2(same_fold, fp.total,
+                   thr::fold_norms(k, gad.data(), 2 * d, t));
       r.folds.push_back(fp.total);
       r.folds.push_back(fp.proj);
-      r.folds.push_back(ga);
       r.amps.insert(r.amps.end(), out.begin(), out.end());
       r.amps.insert(r.amps.end(), gad.begin(), gad.end());
     }
@@ -576,7 +558,6 @@ TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
     thr::cz_masks_pass(k, p.data(), 2 * dim, cz_masks, 3, t);
     thr::pauli_swap_pass(k, p.data(), 2 * dim, 1ULL << L, pmask,
                          (1ULL << (L + 1)) | 0x3, false, t);
-    thr::phase_pass(k, p.data(), 2 * dim, L, e0, t);
     r.amps.insert(r.amps.end(), p.begin(), p.end());
     return r;
   };
@@ -726,8 +707,8 @@ TEST(SimdKernels, OtherOutcomeFoldComesFromTheSamePass) {
 // A DynamicStatevector register ABOVE the chunk cutoff (15 wires =
 // 2^15 amplitudes), driven through every fused measure path, swept over
 // ISA flavors AND kernel thread counts: outcome streams, amplitudes and
-// the running fold must all match the scalar single-threaded leg
-// bit-for-bit — the large-n face of the determinism contract.
+// the norm must all match the scalar single-threaded leg bit-for-bit —
+// the large-n face of the determinism contract.
 ScriptResult run_big_script(SimdIsa isa, int threads, std::uint64_t seed) {
   force_simd_isa(isa);
   set_num_threads(threads);
@@ -736,23 +717,22 @@ ScriptResult run_big_script(SimdIsa isa, int threads, std::uint64_t seed) {
   for (int w = 0; w < 15; ++w) dsv.add_wire(w);
   const std::uint64_t cz_masks[2] = {(1ULL << 14) | 0x3, 0b110000};
   dsv.apply_cz_masks(cz_masks, 2);
-  dsv.apply_rz(5, 0.37);
-  dsv.apply_rz(13, -1.1);
+  dsv.apply_1q(5, gates::rz(0.37));
+  dsv.apply_1q(13, gates::rz(-1.1));
   dsv.apply_pauli_masks(1ULL << 3, 1ULL << 9, false);
   ScriptResult r;
   r.outcomes.push_back(dsv.prep_cz_measure(
       15, 0b101000000000101, measurement_basis(MeasBasis::XY, 0.3), rng));
   r.outcomes.push_back(dsv.prep_cz_teleport_measure(
       16, 0b1000000000010, 4, measurement_basis(MeasBasis::YZ, 0.9), rng));
-  dsv.apply_h(2);  // invalidates the fold: next measure re-folds fused
+  dsv.apply_h(2);
   r.outcomes.push_back(
       dsv.measure_remove(2, measurement_basis(MeasBasis::X, 0.0), rng));
   r.outcomes.push_back(
       dsv.measure_remove(7, measurement_basis(MeasBasis::XY, -0.4), rng));
   dsv.normalize();
   r.amps = dsv.state_in_order(dsv.wire_order());
-  r.fold = dsv.norm_fold();
-  r.fold_valid = dsv.norm_fold_valid();
+  r.norm = dsv.norm();
   return r;
 }
 
@@ -760,7 +740,6 @@ TEST(SimdKernels, LargeRegisterBitIdenticalAcrossThreadsAndIsas) {
   IsaGuard isa_guard;
   ThreadGuard thread_guard;
   const ScriptResult want = run_big_script(SimdIsa::Scalar, 1, 99);
-  EXPECT_TRUE(want.fold_valid);
   for (SimdIsa isa : supported_simd_isas()) {
     for (int t : {1, 2, 8}) {
       const ScriptResult got = run_big_script(isa, t, 99);
@@ -768,8 +747,7 @@ TEST(SimdKernels, LargeRegisterBitIdenticalAcrossThreadsAndIsas) {
                    " threads=" + std::to_string(t));
       EXPECT_EQ(want.outcomes, got.outcomes);
       EXPECT_TRUE(buffers_bit_equal(want.amps, got.amps));
-      EXPECT_PRED2(same_fold, want.fold, got.fold);
-      EXPECT_EQ(want.fold_valid, got.fold_valid);
+      EXPECT_EQ(bits(want.norm), bits(got.norm));
     }
   }
 }
